@@ -47,7 +47,6 @@ from .fock import (
     save_vector,
 )
 from .hamiltonian import (
-    FieldOperator,
     HamiltonianSet,
     apply_interaction,
     apply_total,

@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 from .errors import BasisTooLarge, ConfigError
 from .grid import ModeGrid
@@ -42,6 +43,22 @@ def _occupations(num_modes: int, total: int):
             yield (head, *tail)
 
 
+class LadderTable(NamedTuple):
+    """Every nonzero annihilation amplitude: a_mode |src> = amp |dst>.
+
+    One entry per occupied mode of every state, sorted by ``dst``, so entries
+    ``dst_ptr[s]:dst_ptr[s + 1]`` land on state s.  Read backwards they are
+    the truncated creation amplitudes, a_mode^+ |dst> = amp |src>; creation
+    out of the top grade has no entry.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    amp: np.ndarray
+    mode: np.ndarray
+    dst_ptr: np.ndarray
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Enumerated truncated symmetric Fock basis over ``num_modes`` modes."""
@@ -50,6 +67,7 @@ class FockBasis:
     n_max: int
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
+    ladders: LadderTable = field(init=False, repr=False)
 
     def __post_init__(self):
         states = []
@@ -61,15 +79,40 @@ class FockBasis:
         grades.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
-        object.__setattr__(self, "_index", {tuple(s): i for i, s in enumerate(states)})
-        object.__setattr__(self, "_ladders", None)
+        object.__setattr__(self, "ladders", self._ladder_table())
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
+    def rank(self, states: np.ndarray) -> np.ndarray:
+        """Graded-lex index of each row of ``states`` (combinatorial number system).
+
+        The grade-t block starts at binom(M + t - 1, M); within it, mode i
+        with r quanta left for modes i.. and m = M - 1 - i modes after it
+        skips the binom(r + m, m) - binom(r - n_i + m, m) tuples whose entry
+        i is smaller.  Rows must be valid occupations (see ``index_of``).
+        """
+        states = np.asarray(states, dtype=np.int64)
+        M = self.num_modes
+        binom = np.array([[math.comb(a, b) for b in range(M + 1)] for a in range(self.n_max + M)])
+        left = states.sum(axis=-1)
+        index = binom[M - 1 + left, M]
+        for i in range(M - 1):
+            m = M - 1 - i
+            index += binom[left + m, m] - binom[left - states[..., i] + m, m]
+            left = left - states[..., i]
+        return index
+
     def index_of(self, occupation) -> int:
-        return self._index[tuple(int(n) for n in occupation)]
+        occ = np.asarray(occupation)
+        valid = occ.shape == (self.num_modes,) and np.issubdtype(occ.dtype, np.integer)
+        if not (valid and occ.min() >= 0 and occ.sum() <= self.n_max):
+            raise ConfigError(
+                f"occupation {occupation!r} is not in the basis: need {self.num_modes} "
+                f"integer counts n_i >= 0 with sum <= {self.n_max}"
+            )
+        return int(self.rank(occ))
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -85,37 +128,22 @@ class FockBasis:
         """Boolean mask of states in grades <= n_max - reach."""
         return self.grades <= self.n_max - reach
 
-    def _ladder_maps(self):
-        """Per-mode scatter maps: (lower_idx, lower_amp, raise_idx, raise_amp).
-
-        lower_idx[i][s] is the index of state s with one quantum removed from
-        mode i (-1 if empty); raise_idx[i][s] likewise with one added (-1 if
-        the result would exceed n_max).  Amplitudes are sqrt(n_i) and
-        sqrt(n_i + 1).
-        """
-        cached = self._ladders
-        if cached is not None:
-            return cached
-        M, dim = self.num_modes, self.dim
-        lower_idx = np.full((M, dim), -1, dtype=np.int64)
-        raise_idx = np.full((M, dim), -1, dtype=np.int64)
-        lower_amp = np.zeros((M, dim))
-        raise_amp = np.zeros((M, dim))
-        for s, occ in enumerate(self.states):
-            total = int(self.grades[s])
-            occ = tuple(int(n) for n in occ)
-            for i in range(M):
-                if occ[i] > 0:
-                    down = occ[:i] + (occ[i] - 1,) + occ[i + 1 :]
-                    lower_idx[i, s] = self._index[down]
-                    lower_amp[i, s] = math.sqrt(occ[i])
-                if total < self.n_max:
-                    up = occ[:i] + (occ[i] + 1,) + occ[i + 1 :]
-                    raise_idx[i, s] = self._index[up]
-                    raise_amp[i, s] = math.sqrt(occ[i] + 1)
-        maps = (lower_idx, lower_amp, raise_idx, raise_amp)
-        object.__setattr__(self, "_ladders", maps)
-        return maps
+    def _ladder_table(self) -> LadderTable:
+        src, mode = np.nonzero(self.states)
+        lowered = self.states[src].astype(np.int64)
+        lowered[np.arange(len(src)), mode] -= 1
+        dst = self.rank(lowered)
+        order = np.argsort(dst, kind="stable")
+        src, dst, mode = src[order], dst[order], mode[order]
+        # int32 indices: dim is capped far below 2**31, and scipy.sparse
+        # would otherwise scan and downcast them on every matrix it builds
+        return LadderTable(
+            src=src.astype(np.int32),
+            dst=dst.astype(np.int32),
+            amp=np.sqrt(self.states[src, mode].astype(float)),
+            mode=mode,
+            dst_ptr=np.searchsorted(dst, np.arange(self.dim + 1)).astype(np.int32),
+        )
 
 
 def enumerate_basis(num_modes: int, n_max: int, max_dim: int = DEFAULT_BASIS_CAP) -> FockBasis:
@@ -136,10 +164,10 @@ def enumerate_basis(num_modes: int, n_max: int, max_dim: int = DEFAULT_BASIS_CAP
 
 def apply_mode_annihilation(basis: FockBasis, i: int, v: np.ndarray) -> np.ndarray:
     """a_i v in the occupation basis: |n> -> sqrt(n_i) |n - e_i>."""
-    lower_idx, lower_amp, _, _ = basis._ladder_maps()
+    t = basis.ladders
+    sel = t.mode == i
     out = np.zeros(basis.dim, dtype=complex)
-    mask = lower_idx[i] >= 0
-    out[lower_idx[i, mask]] = lower_amp[i, mask] * v[mask]
+    out[t.dst[sel]] = t.amp[sel] * v[t.src[sel]]
     return out
 
 
@@ -151,13 +179,13 @@ def apply_mode_creation(
     With ``with_dropped=True`` also returns the squared norm of the dropped
     part, i.e. sum over top-grade states of (n_i + 1) |v_n|^2.
     """
-    _, _, raise_idx, raise_amp = basis._ladder_maps()
+    t = basis.ladders
+    sel = t.mode == i
     out = np.zeros(basis.dim, dtype=complex)
-    mask = raise_idx[i] >= 0
-    out[raise_idx[i, mask]] = raise_amp[i, mask] * v[mask]
+    out[t.src[sel]] = t.amp[sel] * v[t.dst[sel]]
     if not with_dropped:
         return out
-    top = ~mask
+    top = basis.grades == basis.n_max
     occ_top = basis.states[top, i].astype(float)
     dropped = float(np.sum((occ_top + 1.0) * np.abs(v[top]) ** 2))
     return out, dropped
@@ -170,13 +198,16 @@ def apply_smeared(
     v: np.ndarray,
     which: str,
 ) -> np.ndarray:
-    """Smeared ladder / Segal field action.
+    """Smeared ladder / Segal field action on a vector or on a block of rows.
 
     The discrete smearing carries the quadrature weights, ``a(f) =
     sum_i sqrt(w_i) conj(f_i) a_i`` and ``a^+(f) = sum_i sqrt(w_i) f_i a_i^+``,
     so the commutator [a(f), a^+(g)] reproduces the weighted inner product
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
+    ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
+    them, acted on row by row.  The sparse matrix is built from the ladder
+    table on every call.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -185,19 +216,21 @@ def apply_smeared(
         raise ConfigError("smearing function is not finite at every mode")
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
-    lower_idx, lower_amp, raise_idx, raise_amp = basis._ladder_maps()
-    sqw = np.sqrt(grid.weights)
-    out = np.zeros(basis.dim, dtype=complex)
-    for i in range(basis.num_modes):
-        if which in ("annihilate", "segal"):
-            mask = lower_idx[i] >= 0
-            out[lower_idx[i, mask]] += (sqw[i] * np.conj(f[i])) * (lower_amp[i, mask] * v[mask])
-        if which in ("create", "segal"):
-            mask = raise_idx[i] >= 0
-            out[raise_idx[i, mask]] += (sqw[i] * f[i]) * (raise_amp[i, mask] * v[mask])
-    if which == "segal":
-        out /= math.sqrt(2.0)
-    return out
+    t = basis.ladders
+    scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
+    shape = (basis.dim, basis.dim)
+    ops = []
+    if which in ("annihilate", "segal"):
+        data = (scale * np.conj(f))[t.mode] * t.amp
+        ops.append(scipy.sparse.csr_matrix((data, t.src, t.dst_ptr), shape=shape))
+    if which in ("create", "segal"):
+        data = (scale * f)[t.mode] * t.amp
+        ops.append(scipy.sparse.csc_matrix((data, t.src, t.dst_ptr), shape=shape))
+    block = np.asarray(v).T
+    out = ops[0] @ block
+    if len(ops) == 2:
+        out += ops[1] @ block
+    return out.T
 
 
 def free_energies(basis: FockBasis, grid: ModeGrid) -> np.ndarray:

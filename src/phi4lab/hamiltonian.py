@@ -1,14 +1,17 @@
 """Field operator, quartic interaction, and total Hamiltonian.
 
-The interaction is applied as four successive field applications per
-quadrature node (exactly Hermitian by construction, since the truncated Segal
-field is self-adjoint); nodes where ``u * chi`` vanishes are skipped.  No
-normal-ordered expansion is attempted.
+The interaction HI = sum_j c_j phi(x_j)^4, c_j = u_j chi(x_j), is never
+assembled.  The truncated field is translation covariant, phi(x) = D_x phi(0)
+D_x^+ with the diagonal phase D_x = exp(-i p_n . x), so HI v = sum_j c_j D_j
+phi(0)^4 D_j^+ v is four batched applications of the field at the origin to
+the rows D_j^+ v, one per node where c_j is nonzero (``field_powers``).  Each
+power is exactly Hermitian, since the truncated Segal field is self-adjoint.
+No normal-ordered expansion is attempted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 import scipy.sparse
@@ -26,40 +29,56 @@ from .grid import ModeGrid, SpatialQuadrature
 DEFAULT_ASSEMBLY_CAP = 20_000
 
 
-@dataclass(frozen=True)
-class FieldOperator:
+def build_field(basis: FockBasis, grid: ModeGrid, x) -> OperatorHandle:
     """Hermitian field at a spatial point: Segal field of rho * exp(-i k.x)."""
-
-    x: np.ndarray
-    smearing: np.ndarray
-    handle: OperatorHandle
-
-
-def build_field(basis: FockBasis, grid: ModeGrid, x) -> FieldOperator:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     smearing = grid.smearing_at(x)
-    handle = OperatorHandle(
+    return OperatorHandle(
         apply=lambda v: apply_smeared(basis, grid, smearing, v, "segal"),
         dim=basis.dim,
         hermitian=True,
         descriptor=f"phi(x={np.round(x, 12).tolist()})",
     )
-    return FieldOperator(x=x, smearing=smearing, handle=handle)
+
+
+def node_phases(
+    basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active quadrature nodes x_j, their weights c_j = u_j chi(x_j), and phases.
+
+    Row j of the phase table is the diagonal of D_j = exp(-i p_n . x_j),
+    p_n = sum_i n_i k_i the total momentum of basis state n.  Nodes where
+    c_j vanishes are dropped.
+    """
+    coef = quad.weights * quad.chi_values
+    active = np.nonzero(coef)[0]
+    momenta = basis.states @ grid.modes
+    phases = np.exp(-1j * (momenta @ quad.nodes[active].T)).T
+    return quad.nodes[active], coef[active], phases
+
+
+def field_powers(
+    basis: FockBasis, grid: ModeGrid, phases: np.ndarray, v: np.ndarray, power: int
+) -> np.ndarray:
+    """Rows phi(x_j)^power v_j for every node j of a phase table.
+
+    Uses phi(x) = D_x phi(0) D_x^+, exact under truncation because D_x is
+    diagonal: one batched field application per power serves every node.
+    ``v`` is one vector (used at every node) or one row per node.
+    """
+    origin = grid.smearing_at(np.zeros(grid.dimension))
+    w = np.conj(phases) * v
+    for _ in range(power):
+        w = apply_smeared(basis, grid, origin, w, "segal")
+    return phases * w
 
 
 def apply_interaction(
     basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature, v: np.ndarray
 ) -> np.ndarray:
     """Quartic interaction: sum_j u_j chi(x_j) phi(x_j)^4 v (grade reach 4)."""
-    out = np.zeros(basis.dim, dtype=complex)
-    coef = quad.weights * quad.chi_values
-    for j in np.nonzero(coef)[0]:
-        f = grid.smearing_at(quad.nodes[j])
-        w = v
-        for _ in range(4):
-            w = apply_smeared(basis, grid, f, w, "segal")
-        out += coef[j] * w
-    return out
+    _, coef, phases = node_phases(basis, grid, quad)
+    return coef @ field_powers(basis, grid, phases, v, 4)
 
 
 def apply_total(
@@ -79,49 +98,40 @@ def apply_total(
 
 
 class HamiltonianSet:
-    """Cached handles for the free, interaction, and total Hamiltonians.
+    """Handles for the free, interaction, and total Hamiltonians.
 
-    Precomputes the diagonal free energies and the per-node smearings so the
-    eigen- and linear solvers pay only the ladder scatters per matvec.
+    Precomputes the diagonal free energies, the active ``nodes``, their
+    weights ``coef`` and the ``(N_active, dim)`` phase table ``phases`` (see
+    ``node_phases``), so a matvec costs one batched field application per
+    power of the field.  The handles close over these arrays, not over the
+    set, so a set is freed as soon as it is unreferenced.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
         self.basis = basis
         self.grid = grid
         self.quadrature = quad
-        self._esum = free_energies(basis, grid)
-        coef = quad.weights * quad.chi_values
-        active = np.nonzero(coef)[0]
-        self._node_coef = coef[active]
-        self._node_smearing = [grid.smearing_at(quad.nodes[j]) for j in active]
+        self.nodes, coef, phases = node_phases(basis, grid, quad)
+        esum = free_energies(basis, grid)
+        self.coef, self.phases, self._esum = coef, phases, esum
         self.h0 = OperatorHandle(
-            apply=lambda v: self._esum * v, dim=basis.dim, hermitian=True, descriptor="H0"
+            apply=lambda v: esum * v, dim=basis.dim, hermitian=True, descriptor="H0"
         )
         self.hi = OperatorHandle(
-            apply=self._apply_hi, dim=basis.dim, hermitian=True, descriptor="HI"
+            apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4),
+            dim=basis.dim,
+            hermitian=True,
+            descriptor="HI",
         )
-
-    def _apply_hi(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.basis.dim, dtype=complex)
-        for coef, f in zip(self._node_coef, self._node_smearing):
-            w = v
-            for _ in range(4):
-                w = apply_smeared(self.basis, self.grid, f, w, "segal")
-            out += coef * w
-        return out
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
             raise ConfigError("coupling kappa must be nonnegative")
         if kappa == 0.0:
-            return OperatorHandle(
-                apply=lambda v: self._esum * v,
-                dim=self.basis.dim,
-                hermitian=True,
-                descriptor="H(kappa=0)",
-            )
+            return dataclasses.replace(self.h0, descriptor="H(kappa=0)")
+        esum, hi = self._esum, self.hi.apply
         return OperatorHandle(
-            apply=lambda v: self._esum * v + kappa * self._apply_hi(v),
+            apply=lambda v: esum * v + kappa * hi(v),
             dim=self.basis.dim,
             hermitian=True,
             descriptor=f"H(kappa={kappa!r})",

@@ -185,45 +185,25 @@ class EpsilonChoice(NamedTuple):
     c_value: float
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def optimize_epsilon(
     kappa: float,
     e0: float,
     grid: ModeGrid,
     quad: SpatialQuadrature,
-    rtol: float = 1e-8,
 ) -> EpsilonChoice:
     """Minimize the boson-number constant over the admissible epsilon interval.
 
-    The constant is convex in epsilon (it blows up at both endpoints), so a
-    golden-section search converges.  With c_bos = 0 the interval degenerates:
-    the epsilon-dependent term vanishes and epsilon = 1 is returned.
+    Up to a positive factor the epsilon-dependent part of the constant is
+    (P + Q/eps) / (1 - R eps) with P = E0^2 + 4 d_bos k, Q = k c_bos / 4 and
+    R = c_bos k.  Its minimizer on (0, 1/R) is the positive root of
+    R P eps^2 + 2 Q R eps - Q = 0, written in the rationalized form
+    Q / (Q R + sqrt(Q^2 R^2 + P Q R)), which stays accurate as P -> 0 (where
+    it tends to 1/(2R)).  With c_bos = 0 or k = 0 the epsilon-dependent term
+    vanishes and epsilon = 1 is returned.
     """
-    c_bos, _ = hbound_constants(grid, quad)
-    limit = epsilon_upper_limit(kappa, c_bos)
-    if not math.isfinite(limit):
-        # c_bos = 0 or kappa = 0: the epsilon-dependent term vanishes
-        fam = epsilon_family(1.0, kappa, e0, grid, quad)
-        return EpsilonChoice(1.0, fam.c_number)
-
-    def cost(eps: float) -> float:
-        return epsilon_family(eps, kappa, e0, grid, quad).c_number
-
-    lo = limit * 1e-12
-    hi = limit * (1.0 - 1e-12)
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = cost(x1), cost(x2)
-    while (hi - lo) > rtol * max(hi, 1e-300):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = cost(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = cost(x2)
-    eps = x1 if f1 <= f2 else x2
-    return EpsilonChoice(float(eps), float(cost(eps)))
+    c_bos, d_bos = hbound_constants(grid, quad)
+    eps = 1.0
+    if math.isfinite(epsilon_upper_limit(kappa, c_bos)):
+        p, q, r = e0**2 + 4.0 * d_bos * kappa, kappa * c_bos / 4.0, c_bos * kappa
+        eps = q / (q * r + math.sqrt((q * r) ** 2 + p * q * r))
+    return EpsilonChoice(eps, epsilon_family(eps, kappa, e0, grid, quad).c_number)

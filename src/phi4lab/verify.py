@@ -34,7 +34,7 @@ from .fock import (
     project_vacuum,
 )
 from .grid import ModeGrid, SpatialQuadrature
-from .hamiltonian import HamiltonianSet
+from .hamiltonian import HamiltonianSet, field_powers
 from .spectral import SpectralResult, ground_state, solve_shifted
 from .theory import (
     TheoryConstants,
@@ -397,27 +397,15 @@ def check_phi3_bound(
     if not 0.0 < epsilon < limit:
         raise EpsilonOutOfRange(f"epsilon {epsilon} outside (0, {limit})")
     fam = epsilon_family(epsilon, kappa, 0.0, grid, quad)  # lam, mu only
-    coef = quad.weights * quad.chi_values
-    active = np.nonzero(coef)[0]
-    p3 = []
-    p4 = []
-    for j in active:
-        f = grid.smearing_at(quad.nodes[j])
-        w = psi
-        for _ in range(3):
-            w = apply_smeared(basis, grid, f, w, "segal")
-        p3.append(w)
-        p4.append(apply_smeared(basis, grid, f, w, "segal"))
+    p3 = field_powers(basis, grid, ham.phases, psi, 3)
+    p4 = field_powers(basis, grid, ham.phases, p3, 1)
     norm2 = float(np.real(np.vdot(psi, psi)))
-    point_worst = -math.inf
-    integral = 0.0
-    for aj, vj, wj in zip(active, p3, p4):
-        for ak, vk, wk in zip(active, p3, p4):
-            cross3 = abs(np.vdot(vj, vk))
-            cross4 = float(np.real(np.vdot(wj, wk)))
-            slack = cross4 + 0.5 * norm2 - cross3
-            point_worst = max(point_worst, _rel(-slack, abs(cross4) + norm2 + 1.0))
-            integral += coef[aj] * coef[ak] * cross3
+    # node-pair Gram matrices <phi_j^p psi, phi_k^p psi>
+    cross3 = np.abs(np.conj(p3) @ p3.T)
+    cross4 = np.real(np.conj(p4) @ p4.T)
+    slack = cross4 + 0.5 * norm2 - cross3
+    point_worst = float(np.max(_rel(-slack, np.abs(cross4) + norm2 + 1.0), initial=-math.inf))
+    integral = float(ham.coef @ cross3 @ ham.coef)
     lhs = kappa**2 * integral
     hk_psi = ham.hkappa(kappa)(psi)
     rhs = fam.lam * float(np.linalg.norm(hk_psi)) ** 2 + (
@@ -509,22 +497,9 @@ def check_overlap(
 # resolvent identities on the computed ground state
 
 
-def _phi3_source(
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
-    v: np.ndarray,
-) -> list[tuple[int, np.ndarray]]:
-    """Per-active-node cubic field applications chi-weighted for reuse."""
-    coef = quad.weights * quad.chi_values
-    out = []
-    for j in np.nonzero(coef)[0]:
-        f = grid.smearing_at(quad.nodes[j])
-        w = v
-        for _ in range(3):
-            w = apply_smeared(basis, grid, f, w, "segal")
-        out.append((j, coef[j] * w))
-    return out
+def _phi3_source(ham: HamiltonianSet, v: np.ndarray) -> np.ndarray:
+    """Rows c_j phi(x_j)^3 v over the active nodes, chi-weighted for reuse."""
+    return ham.coef[:, None] * field_powers(ham.basis, ham.grid, ham.phases, v, 3)
 
 
 def check_pull_through(
@@ -584,7 +559,7 @@ def check_pull_through(
                 )
             )
         return outcomes
-    sources = _phi3_source(basis, grid, quad, v)
+    sources = _phi3_source(ham, v)
     hk = ham.hkappa(kappa)
     hi_v = ham.hi(v)
     interior = basis.interior_mask(TOP_GRADE_REACH)
@@ -593,10 +568,7 @@ def check_pull_through(
         omega = float(grid.omega[i])
         lhs = apply_mode_annihilation(basis, i, v) / sqw
         lhs_norm = float(np.linalg.norm(lhs))
-        rhs_src = np.zeros(basis.dim, dtype=complex)
-        for j, w in sources:
-            phase = np.exp(-1j * float(grid.modes[i] @ quad.nodes[j]))
-            rhs_src += phase * w
+        rhs_src = np.exp(-1j * (ham.nodes @ grid.modes[i])) @ sources
         y = solve_shifted(hk, grid.omega[i] - state.e0, rhs_src, tol=lin_tol, emin=state.e0)
         resid_vec = lhs + 2.0 * math.sqrt(2.0) * kappa * grid.rho[i] * y
         rel = _rel(np.linalg.norm(resid_vec), lhs_norm)

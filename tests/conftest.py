@@ -12,6 +12,7 @@ from phi4lab import (
     build_spatial_quadrature,
     enumerate_basis,
 )
+from phi4lab.fock import apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
 
 
@@ -43,6 +44,13 @@ def make_two_mode(n_max=4, chib=0.5, nodes=5):
     quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), nodes)
     basis = enumerate_basis(2, n_max)
     return grid, quad, basis
+
+
+def conjugated_field(basis, grid, x, v):
+    """D_x phi(0) D_x^+ v with D_x = exp(-i p_n . x) built from the states."""
+    phase = np.exp(-1j * ((basis.states @ grid.modes) @ np.atleast_1d(x)))
+    origin = grid.smearing_at(np.zeros(grid.dimension))
+    return phase * apply_smeared(basis, grid, origin, np.conj(phase) * v, "segal")
 
 
 @pytest.fixture(scope="session")

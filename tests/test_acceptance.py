@@ -133,7 +133,7 @@ class TestCriterion1OracleEquivalence:
             ("H(kappa)", ham.hkappa(kappa), dense.hk(kappa)),
         ]
         pairs += [
-            (f"phi({x})", build_field(basis, grid, x).handle, dense.phi(x)) for x in xs
+            (f"phi({x})", build_field(basis, grid, x), dense.phi(x)) for x in xs
         ]
         worst = 0.0
         for name, handle, mat in pairs:

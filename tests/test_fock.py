@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_states, ladder_matrices
@@ -60,6 +60,25 @@ class TestEnumeration:
         for i, s in enumerate(basis.states):
             assert basis.index_of(s) == i
 
+    @given(m=st.integers(1, 4), n=st.integers(0, 6))
+    @example(m=1, n=0)
+    @example(m=4, n=0)
+    @settings(max_examples=40, deadline=None)
+    def test_rank_equals_enumeration_order(self, m, n):
+        basis = enumerate_basis(m, n)
+        states = np.array(enumerate_states(m, n), dtype=np.int64).reshape(-1, m)
+        assert basis.rank(states).tolist() == list(range(basis.dim))
+
+    @pytest.mark.parametrize(
+        "occupation", [(1, 0), (1, 0, 0, 0), (-1, 1, 0), (2, 0, -1), (2, 1, 1), (0, 0, 4)]
+    )
+    def test_index_of_rejects_occupations_outside_the_basis(self, occupation):
+        basis = enumerate_basis(3, 3)
+        with pytest.raises(ConfigError):
+            basis.index_of(occupation)
+        with pytest.raises(ConfigError):
+            basis.unit(occupation)
+
     def test_too_large(self):
         with pytest.raises(BasisTooLarge) as err:
             enumerate_basis(10, 30, max_dim=1000)
@@ -79,6 +98,14 @@ class TestLadders:
         out, dropped = apply_mode_creation(basis, 0, v, with_dropped=True)
         assert np.all(out == 0.0)
         assert dropped == pytest.approx(5.0)  # (n_max + 1) * ||v||^2
+
+    def test_ladders_on_the_vacuum_only_basis(self):
+        grid = build_grid(1, 1.0, modes=np.array([[0.5]]), weights=np.array([1.0]))
+        basis = enumerate_basis(1, 0)
+        vac = basis.vacuum()
+        out, dropped = apply_mode_creation(basis, 0, vac, with_dropped=True)
+        assert np.all(out == 0.0) and dropped == 1.0
+        assert np.all(apply_smeared(basis, grid, np.ones(1), vac, "segal") == 0.0)
 
     def test_annihilation_of_vacuum(self):
         basis = enumerate_basis(2, 3)
@@ -146,6 +173,16 @@ class TestSmeared:
         )
         pairing = np.sum(self.grid.weights * np.conj(f) * g)
         assert np.linalg.norm(comm - pairing * v) < 1e-12 * abs(pairing)
+
+    @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
+    def test_block_rows_equal_single_vector_calls(self, which):
+        rng = np.random.default_rng(4)
+        f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        block = rng.standard_normal((5, self.basis.dim)) + 1j * rng.standard_normal((5, self.basis.dim))
+        out = apply_smeared(self.basis, self.grid, f, block, which)
+        assert out.shape == block.shape
+        for row, v in zip(out, block):
+            assert np.array_equal(row, apply_smeared(self.basis, self.grid, f, v, which))
 
     def test_nonfinite_smearing_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,9 +18,10 @@ from phi4lab import (
     build_spatial_quadrature,
     enumerate_basis,
 )
-from phi4lab.fock import apply_dgamma_omega
+from phi4lab.fock import apply_dgamma_omega, apply_smeared
+from phi4lab.hamiltonian import HamiltonianSet
 
-from conftest import make_single_mode, make_two_mode
+from conftest import conjugated_field, make_reference, make_single_mode, make_two_mode
 
 
 def rand_vec(basis, seed=0, interior=None):
@@ -33,22 +35,21 @@ def rand_vec(basis, seed=0, interior=None):
 class TestField:
     def test_smearing_real_at_origin(self, two_mode_model):
         grid, quad, basis, _ = two_mode_model
-        fld = build_field(basis, grid, 0.0)
-        assert np.allclose(fld.smearing.imag, 0.0)
-        assert np.allclose(fld.smearing.real, grid.rho)
+        smearing = grid.smearing_at(0.0)
+        assert np.allclose(smearing.imag, 0.0)
+        assert np.allclose(smearing.real, grid.rho)
 
     def test_smearing_modulus_is_phase_free(self, two_mode_model):
         grid, quad, basis, _ = two_mode_model
         for x in (0.0, 0.37, -2.5):
-            fld = build_field(basis, grid, x)
-            assert np.allclose(np.abs(fld.smearing), grid.rho)
+            assert np.allclose(np.abs(grid.smearing_at(x)), grid.rho)
 
     def test_vacuum_second_moment(self, two_mode_model):
         grid, quad, basis, _ = two_mode_model
         rho2 = float(np.sum(grid.weights * grid.rho**2))
         for x in (0.0, 1.3):
             fld = build_field(basis, grid, x)
-            val = np.vdot(basis.vacuum(), fld.handle(fld.handle(basis.vacuum())))
+            val = np.vdot(basis.vacuum(), fld(fld(basis.vacuum())))
             assert val.real == pytest.approx(rho2 / 2.0, rel=1e-13)
             assert abs(val.imag) < 1e-15
             # dense oracle route
@@ -61,11 +62,44 @@ class TestField:
         f1 = build_field(basis, grid, 0.4)
         f2 = build_field(basis, grid, -1.1)
         v = rand_vec(basis, seed=4, interior=2)
-        comm = f1.handle(f2.handle(v)) - f2.handle(f1.handle(v))
+        comm = f1(f2(v)) - f2(f1(v))
         assert np.linalg.norm(comm) < 1e-13
         dense = DenseModel(grid, quad, basis.n_max)
         m1, m2 = dense.phi(0.4), dense.phi(-1.1)
         assert np.linalg.norm((m1 @ m2 - m2 @ m1) @ v) < 1e-13
+
+
+class TestTranslationCovariance:
+    def test_field_is_the_phase_conjugated_field_at_the_origin(self):
+        grid, quad, basis = make_reference(n_max=8)
+        for seed, x in enumerate((0.0, 0.37, -1.0, 2.5)):
+            v = rand_vec(basis, seed=seed)
+            lhs = apply_smeared(basis, grid, grid.smearing_at(x), v, "segal")
+            rhs = conjugated_field(basis, grid, x, v)
+            assert np.linalg.norm(lhs - rhs) <= 1e-14 * np.linalg.norm(lhs)
+
+    @pytest.mark.parametrize("interval", [(-1.0, 1.0), (0.2, 1.5)])
+    def test_interaction_matches_dense_oracle(self, interval):
+        # the off-centre interval is not reflection symmetric, so a wrong
+        # phase sign (phi(-x_j) for phi(x_j)) shows
+        grid, _, basis = make_two_mode()
+        quad = build_spatial_quadrature(1, CutoffSpec("indicator", interval), 4)
+        ham = HamiltonianSet(basis, grid, quad)
+        hi = DenseModel(grid, quad, basis.n_max).hi()
+        scale = np.abs(hi).max()
+        for seed in range(5):
+            v = rand_vec(basis, seed=40 + seed)
+            assert np.abs(ham.hi(v) - hi @ v).max() <= 1e-14 * scale
+            assert np.abs(apply_interaction(basis, grid, quad, v) - hi @ v).max() <= 1e-14 * scale
+
+    def test_set_is_freed_without_the_cycle_collector(self, two_mode_model):
+        grid, quad, basis, _ = two_mode_model
+        ham = HamiltonianSet(basis, grid, quad)
+        handles = (ham.h0, ham.hi, ham.hkappa(0.1))
+        ref = weakref.ref(ham)
+        del ham
+        assert ref() is None
+        assert all(h(basis.vacuum()).shape == (basis.dim,) for h in handles)
 
 
 class TestInteraction:

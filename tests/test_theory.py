@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from phi4lab import (
     rayleigh_upper_bound,
     series_upper_bound,
 )
+from phi4lab.config import build_model, parse_config
 from phi4lab.fock import apply_h0perp_inverse, project_vacuum
-from phi4lab.theory import compute_constants
+from phi4lab.theory import compute_constants, epsilon_upper_limit
 
 from conftest import make_single_mode, make_two_mode
 
@@ -32,6 +34,34 @@ from conftest import make_single_mode, make_two_mode
 GOLDEN_SERIES_BOUND_AT_0P1 = 0.2366958073064853
 GOLDEN_C_NUMBER_AT_0P05 = 13982.043733238454
 GOLDEN_EPSILON_STAR_AT_0P05 = 0.01836461939840248
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def golden_section_epsilon(kappa, e0, grid, quad, rtol=1e-8):
+    """Reference minimizer: golden-section search of the convex boson-number
+    constant over the admissible interval (0, 1 / (c_bos kappa))."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    limit = epsilon_upper_limit(kappa, hbound_constants(grid, quad)[0])
+
+    def cost(eps):
+        return epsilon_family(eps, kappa, e0, grid, quad).c_number
+
+    lo, hi = limit * 1e-12, limit * (1.0 - 1e-12)
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = cost(x1), cost(x2)
+    while (hi - lo) > rtol * hi:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = cost(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = cost(x2)
+    eps = x1 if f1 <= f2 else x2
+    return eps, cost(eps)
 
 
 def zero_chi_quad():
@@ -263,6 +293,21 @@ class TestOptimizeEpsilon:
         choice = optimize_epsilon(0.05, e0, grid, quad)
         assert choice.epsilon == pytest.approx(GOLDEN_EPSILON_STAR_AT_0P05, rel=1e-6)
         assert choice.c_value == pytest.approx(GOLDEN_C_NUMBER_AT_0P05, rel=1e-9)
+
+    @pytest.mark.parametrize("config", ["reference.ini", "weak_coupling.ini"])
+    def test_closed_form_matches_golden_section(self, config):
+        params = parse_config(CONFIG_DIR / config)
+        grid, quad, _ = build_model(params)
+        c1 = first_order_coefficient(grid, quad)
+        for kappa in params.kappa_list:
+            for e0 in (0.0, kappa * c1):
+                choice = optimize_epsilon(kappa, e0, grid, quad)
+                eps, c_value = golden_section_epsilon(kappa, e0, grid, quad)
+                assert choice.c_value == pytest.approx(c_value, rel=1e-8)
+                assert choice.c_value <= c_value * (1.0 + 1e-14)
+                # the search compares costs on a flat minimum, so it resolves
+                # epsilon only to about sqrt(machine epsilon)
+                assert choice.epsilon == pytest.approx(eps, rel=1e-7)
 
     def test_halved_coupling_doubles_interval_and_reduces_c(self, reference_model):
         grid, quad, basis, ham = reference_model

@@ -16,8 +16,11 @@ from phi4lab import (
     ground_state,
     rayleigh_upper_bound,
 )
+from phi4lab.fock import apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.theory import compute_constants
+
+from conftest import conjugated_field
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +52,18 @@ def test_identities_hold_in_two_dimensions(planar_model):
     grid, quad, basis, _ = planar_model
     assert check_ccr(basis, grid, count=25, seed=1).passed
     assert check_free_commutators(basis, grid, count=25, seed=2).passed
+
+
+def test_field_is_the_phase_conjugated_field_at_the_origin(planar_model):
+    grid, quad, basis, ham = planar_model
+    rng = np.random.default_rng(8)
+    for x in quad.nodes[quad.chi_values > 0]:
+        v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        lhs = apply_smeared(basis, grid, grid.smearing_at(x), v, "segal")
+        assert np.linalg.norm(lhs - conjugated_field(basis, grid, x, v)) <= 1e-14 * np.linalg.norm(lhs)
+    hi = DenseModel(grid, quad, basis.n_max).hi()
+    v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    assert np.abs(ham.hi(v) - hi @ v).max() <= 1e-14 * np.abs(hi).max()
 
 
 def test_first_order_coefficient_matches_matrix_element(planar_model):
