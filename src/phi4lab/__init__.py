@@ -50,7 +50,6 @@ from .hamiltonian import (
     HamiltonianSet,
     apply_interaction,
     apply_total,
-    assemble_sparse,
     build_field,
 )
 from .spectral import (

@@ -68,6 +68,8 @@ class FockBasis:
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
+    # (key, matrices) of the last smearing apply_smeared built on this basis
+    _smeared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = []
@@ -80,6 +82,7 @@ class FockBasis:
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "ladders", self._ladder_table())
+        object.__setattr__(self, "_smeared", (None, ()))
 
     @property
     def dim(self) -> int:
@@ -206,8 +209,9 @@ def apply_smeared(
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
     ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
-    them, acted on row by row.  The sparse matrix is built from the ladder
-    table on every call.
+    them, acted on row by row.  The basis keeps the sparse matrices of the
+    last smearing, built from the ladder table and keyed by ``which`` and the
+    bytes of ``f`` and of the weights, the only inputs they depend on.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -216,16 +220,20 @@ def apply_smeared(
         raise ConfigError("smearing function is not finite at every mode")
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
-    t = basis.ladders
-    scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
-    shape = (basis.dim, basis.dim)
-    ops = []
-    if which in ("annihilate", "segal"):
-        data = (scale * np.conj(f))[t.mode] * t.amp
-        ops.append(scipy.sparse.csr_matrix((data, t.src, t.dst_ptr), shape=shape))
-    if which in ("create", "segal"):
-        data = (scale * f)[t.mode] * t.amp
-        ops.append(scipy.sparse.csc_matrix((data, t.src, t.dst_ptr), shape=shape))
+    key = (which, f.tobytes(), grid.weights.tobytes())
+    last, ops = basis._smeared
+    if key != last:
+        t = basis.ladders
+        scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
+        shape = (basis.dim, basis.dim)
+        ops = []
+        if which in ("annihilate", "segal"):
+            data = (scale * np.conj(f))[t.mode] * t.amp
+            ops.append(scipy.sparse.csr_matrix((data, t.src, t.dst_ptr), shape=shape))
+        if which in ("create", "segal"):
+            data = (scale * f)[t.mode] * t.amp
+            ops.append(scipy.sparse.csc_matrix((data, t.src, t.dst_ptr), shape=shape))
+        object.__setattr__(basis, "_smeared", (key, ops))
     block = np.asarray(v).T
     out = ops[0] @ block
     if len(ops) == 2:

@@ -14,9 +14,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-import scipy.sparse
 
-from .errors import BasisTooLarge, ConfigError
+from .errors import ConfigError
 from .fock import (
     FockBasis,
     OperatorHandle,
@@ -25,8 +24,6 @@ from .fock import (
     free_energies,
 )
 from .grid import ModeGrid, SpatialQuadrature
-
-DEFAULT_ASSEMBLY_CAP = 20_000
 
 
 def build_field(basis: FockBasis, grid: ModeGrid, x) -> OperatorHandle:
@@ -137,17 +134,3 @@ class HamiltonianSet:
             descriptor=f"H(kappa={kappa!r})",
         )
 
-
-def assemble_sparse(
-    handle: OperatorHandle, basis: FockBasis, cap: int = DEFAULT_ASSEMBLY_CAP
-) -> scipy.sparse.csc_matrix:
-    """Explicit sparse matrix of a handle, column by column on unit vectors."""
-    if basis.dim > cap:
-        raise BasisTooLarge(basis.dim, cap)
-    cols = []
-    e = np.zeros(basis.dim, dtype=complex)
-    for j in range(basis.dim):
-        e[j] = 1.0
-        cols.append(scipy.sparse.csc_matrix(handle(e).reshape(-1, 1)))
-        e[j] = 0.0
-    return scipy.sparse.hstack(cols, format="csc")

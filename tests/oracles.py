@@ -96,3 +96,14 @@ class DenseModel:
         anchor = vec[np.argmax(np.abs(vec))] if abs(vec[0]) < 1e-12 else vec[0]
         vec = vec * (np.conj(anchor) / abs(anchor))
         return float(evals[0]), vec, evals
+
+
+def handle_matrix(handle):
+    """Dense matrix of a matrix-free handle, applied column by column to unit vectors."""
+    mat = np.zeros((handle.dim, handle.dim), dtype=complex)
+    e = np.zeros(handle.dim, dtype=complex)
+    for j in range(handle.dim):
+        e[j] = 1.0
+        mat[:, j] = handle(e)
+        e[j] = 0.0
+    return mat

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import DenseModel
+from oracles import DenseModel, handle_matrix
 
 from phi4lab import (
     check_ccr,
@@ -46,7 +46,7 @@ from phi4lab import (
 from phi4lab.cli import main
 from phi4lab.config import build_model, parse_config
 from phi4lab.fock import apply_h0perp_inverse, apply_number, project_vacuum
-from phi4lab.hamiltonian import HamiltonianSet, assemble_sparse
+from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.theory import compute_constants
 
 from conftest import make_reference, make_single_mode, make_two_mode
@@ -137,7 +137,7 @@ class TestCriterion1OracleEquivalence:
         ]
         worst = 0.0
         for name, handle, mat in pairs:
-            free = assemble_sparse(handle, basis).toarray()
+            free = handle_matrix(handle)
             diff = float(np.abs(free - mat).max())
             worst = max(worst, diff)
         e_dense, _, _ = dense.ground(kappa)

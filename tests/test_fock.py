@@ -191,6 +191,63 @@ class TestSmeared:
             )
 
 
+class TestSmearedMemo:
+    """apply_smeared keeps the matrices of the last smearing on the basis.
+
+    Every call must equal, bit for bit, the same call on a freshly
+    enumerated basis, whose memo is empty.
+    """
+
+    def setup_method(self):
+        self.grid, _, self.basis = make_two_mode(n_max=5)
+        rng = np.random.default_rng(6)
+        self.f, self.g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        self.v = rand_vec(self.basis, seed=7)
+
+    def check(self, f, which, grid=None):
+        grid = self.grid if grid is None else grid
+        out = apply_smeared(self.basis, grid, f, self.v, which)
+        fresh = enumerate_basis(self.basis.num_modes, self.basis.n_max)
+        assert np.array_equal(out, apply_smeared(fresh, grid, f, self.v, which))
+        # one operator held: the matrices of this call's smearing and nothing else
+        key, ops = self.basis._smeared
+        assert key[0] == which
+        assert len(ops) == (2 if which == "segal" else 1)
+        return out
+
+    @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
+    def test_alternating_smearings(self, which):
+        for f in (self.f, self.g, self.f, self.f):
+            self.check(f, which)
+
+    def test_switching_action_for_one_smearing(self):
+        for which in ("annihilate", "create", "segal", "segal", "annihilate", "create"):
+            self.check(self.f, which)
+
+    def test_smearing_mutated_in_place(self):
+        f = self.f.copy()
+        before = self.check(f, "segal")
+        f[0] += 0.5
+        assert not np.array_equal(self.check(f, "segal"), before)
+
+    def test_grids_with_different_weights_share_a_basis(self):
+        other = build_grid(
+            1, 1.0, self.grid.uv_cutoff, modes=self.grid.modes, weights=np.array([0.5, 2.0])
+        )
+        outs = [self.check(self.f, "segal", grid) for grid in (self.grid, other, self.grid)]
+        assert not np.array_equal(outs[0], outs[1])
+
+    def test_validation_runs_after_a_hit(self):
+        self.check(self.f, "segal")
+        self.check(self.f, "segal")
+        for bad in (np.array([np.nan, 0.0]), np.array([np.inf, 1.0]), np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(ConfigError):
+                apply_smeared(self.basis, self.grid, bad, self.v, "segal")
+        with pytest.raises(ConfigError):
+            apply_smeared(self.basis, self.grid, self.f, self.v, "field")
+        self.check(self.f, "segal")
+
+
 class TestDiagonals:
     def setup_method(self):
         self.grid, _, self.basis = make_two_mode(n_max=4)

@@ -4,20 +4,19 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import DenseModel
+from oracles import DenseModel, handle_matrix
 
 from phi4lab import (
-    BasisTooLarge,
     ConfigError,
     CutoffSpec,
     apply_interaction,
     apply_total,
-    assemble_sparse,
     build_field,
     build_grid,
     build_spatial_quadrature,
     enumerate_basis,
 )
+from phi4lab import fock
 from phi4lab.fock import apply_dgamma_omega, apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
 
@@ -171,7 +170,7 @@ class TestInteraction:
 class TestAssembly:
     def test_h0_diagonal(self, two_mode_model):
         grid, quad, basis, ham = two_mode_model
-        mat = assemble_sparse(ham.h0, basis).toarray()
+        mat = handle_matrix(ham.h0)
         esum = basis.states @ grid.omega
         assert np.allclose(mat, np.diag(esum), atol=1e-15)
 
@@ -180,7 +179,7 @@ class TestAssembly:
         from phi4lab.fock import OperatorHandle, apply_number
 
         handle = OperatorHandle(apply=lambda v: apply_number(basis, v), dim=basis.dim)
-        mat = assemble_sparse(handle, basis).toarray()
+        mat = handle_matrix(handle)
         assert np.allclose(mat, np.diag(basis.grades.astype(float)), atol=0)
 
     def test_anharmonic_quartic_matrix(self):
@@ -189,7 +188,7 @@ class TestAssembly:
         from phi4lab.hamiltonian import HamiltonianSet
 
         ham = HamiltonianSet(basis, grid, quad)
-        mat = assemble_sparse(ham.hi, basis).toarray()
+        mat = handle_matrix(ham.hi)
         # independent construction: dense ladder, phi = (a + a+)/sqrt2, 4th power
         a = np.diag(np.sqrt(np.arange(1.0, 5.0)), 1)
         phi = (a + a.T) / math.sqrt(2.0)
@@ -198,22 +197,36 @@ class TestAssembly:
     def test_matrix_free_matches_assembly_on_unit_vectors(self, two_mode_model):
         grid, quad, basis, ham = two_mode_model
         hk = ham.hkappa(0.1)
-        mat = assemble_sparse(hk, basis)
+        mat = handle_matrix(hk)
         e = np.zeros(basis.dim, dtype=complex)
         for j in range(basis.dim):
             e[j] = 1.0
-            assert np.allclose(mat[:, [j]].toarray().ravel(), hk(e), atol=1e-14)
+            assert np.allclose(mat[:, j], hk(e), atol=1e-14)
             e[j] = 0.0
 
     def test_assembled_hermitian(self, two_mode_model):
         grid, quad, basis, ham = two_mode_model
-        mat = assemble_sparse(ham.hkappa(0.1), basis).toarray()
+        mat = handle_matrix(ham.hkappa(0.1))
         assert np.abs(mat - mat.conj().T).max() <= 1e-14
 
-    def test_assembly_cap(self, two_mode_model):
-        grid, quad, basis, ham = two_mode_model
-        with pytest.raises(BasisTooLarge):
-            assemble_sparse(ham.h0, basis, cap=basis.dim - 1)
+
+class TestMatvecCost:
+    def test_matvecs_reuse_the_field_at_the_origin(self, monkeypatch):
+        grid, quad, basis = make_reference()
+        hk = HamiltonianSet(basis, grid, quad).hkappa(0.05)
+        v = hk(rand_vec(basis, seed=3))
+        built = []
+        for name in ("csr_matrix", "csc_matrix"):
+            real = getattr(fock.scipy.sparse, name)
+            monkeypatch.setattr(
+                fock.scipy.sparse, name, lambda *a, _n=name, _r=real, **k: built.append(_n) or _r(*a, **k)
+            )
+        for _ in range(10):
+            v = hk(v / np.linalg.norm(v))
+        assert built == []
+        # the counter does see a build: a new smearing makes one matrix
+        apply_smeared(basis, grid, grid.smearing_at(np.array([0.3])), v, "create")
+        assert built == ["csc_matrix"]
 
 
 class TestWeakCommutator:

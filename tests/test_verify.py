@@ -25,6 +25,7 @@ from phi4lab import (
     optimize_epsilon,
     sweep_kappa,
 )
+from phi4lab import verify
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.spectral import SpectralResult
 from phi4lab.theory import compute_constants
@@ -93,6 +94,30 @@ class TestIdentitySuite:
     def test_weak_commutator(self, reference_model):
         grid, quad, basis, _ = reference_model
         assert check_weak_commutator(basis, grid, 0.25, count=100, seed=4).passed
+
+    def test_interior_vectors_match_the_one_at_a_time_draw(self, reference_model):
+        grid, quad, basis, _ = reference_model
+        mask = basis.interior_mask(4)
+        rng = np.random.default_rng(5)
+        for v in draw_interior_vectors(basis, 4, 23, seed=5):
+            u = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            u[~mask] = 0.0
+            u /= np.linalg.norm(u)
+            assert np.array_equal(v, u)
+
+    def test_batched_checks_do_not_depend_on_the_block_size(self, reference_model, monkeypatch):
+        # blocks of one row are the single-vector calls (block rows equal them
+        # bit for bit, see test_fock); 7 leaves a short last block
+        grid, quad, basis, _ = reference_model
+        f = grid.rho.astype(complex)
+
+        results = []
+        for rows in (1, 7, 23):
+            monkeypatch.setattr(verify, "BLOCK_ROWS", rows)
+            double = check_double_commutator(f, basis, grid, count=23, seed=5)
+            weak = check_weak_commutator(basis, grid, 0.25, count=23, seed=5)
+            results.append((double.measured, double.context, weak.measured))
+        assert results[1] == results[0] and results[2] == results[0]
 
 
 class TestInequalitySuite:
