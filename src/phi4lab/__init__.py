@@ -49,12 +49,10 @@ from .fock import (
 from .hamiltonian import (
     HamiltonianSet,
     apply_interaction,
-    apply_total,
     build_field,
 )
 from .spectral import (
     SpectralResult,
-    estimate_operator_norm,
     ground_state,
     rayleigh_quotient,
     solve_shifted,
@@ -86,6 +84,7 @@ from .verify import (
     check_overlap,
     check_phi3_bound,
     check_pull_through,
+    check_state,
     check_weak_commutator,
     draw_interior_vectors,
     sweep_kappa,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ModelParams, build_model, parse_config
-from .errors import Phi4LabError, SpectralConditionViolated
+from .errors import Phi4LabError
 from .fock import save_vector
 from .grid import cutoff_norm
 from .hamiltonian import HamiltonianSet
@@ -30,24 +30,18 @@ from .report import (
 from .spectral import ground_state
 from .theory import (
     compute_constants,
-    epsilon_family,
     epsilon_upper_limit,
     first_order_coefficient,
     hbound_constants,
-    optimize_epsilon,
 )
 from .verify import (
-    CheckOutcome,
-    check_arai_identities,
     check_ccr,
     check_double_commutator,
     check_free_commutators,
     check_hbound,
     check_ladder_bounds,
-    check_number_bound,
-    check_overlap,
     check_phi3_bound,
-    check_pull_through,
+    check_state,
     check_weak_commutator,
     draw_interior_vectors,
     sweep_kappa,
@@ -55,17 +49,21 @@ from .verify import (
 )
 
 
-def _build(params: ModelParams):
+def _build(params: ModelParams) -> HamiltonianSet:
     grid, quad, basis = build_model(params)
-    ham = HamiltonianSet(basis, grid, quad)
-    return grid, quad, basis, ham
+    return HamiltonianSet(basis, grid, quad)
 
 
-def _epsilon_for(params: ModelParams, kappa: float, grid, quad) -> float:
+def _fixed_epsilon(params: ModelParams) -> float | None:
+    """The configured epsilon, or None when the policy optimizes it per state."""
+    return params.epsilon_value if params.epsilon_policy == "fixed" else None
+
+
+def _epsilon_for(params: ModelParams, kappa: float, ham: HamiltonianSet) -> float:
     """Admissible epsilon for state-free inequality checks."""
     if params.epsilon_policy == "fixed":
         return params.epsilon_value
-    c_bos, _ = hbound_constants(grid, quad)
+    c_bos, _ = hbound_constants(ham.grid, ham.quadrature)
     limit = epsilon_upper_limit(kappa, c_bos)
     return 1.0 if math.isinf(limit) else 0.5 * limit
 
@@ -109,8 +107,9 @@ def _solve_kappa(params: ModelParams) -> float:
 
 
 def cmd_solve(params: ModelParams, out_dir: Path) -> int:
-    grid, quad, basis, ham = _build(params)
-    consts = compute_constants(basis, grid, quad)
+    ham = _build(params)
+    basis = ham.basis
+    consts = compute_constants(basis, ham.grid, ham.quadrature)
     kappa = _solve_kappa(params)
     state = ground_state(
         ham.hkappa(kappa), basis.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
@@ -121,24 +120,15 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
         f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
         f"{state.iterations} matvecs, gap {state.gap_estimate:.3e})"
     )
-    if params.epsilon_policy == "fixed":
-        eps = params.epsilon_value
-        c_number = epsilon_family(eps, kappa, state.e0, grid, quad).c_number
-    else:
-        eps, c_number = optimize_epsilon(kappa, state.e0, grid, quad)
-    outcomes = []
-    outcomes += check_pull_through(
-        state, kappa, basis, grid, quad, ham, tol=params.pull_tol, lin_tol=params.lin_tol
+    choice, outcomes = check_state(
+        state,
+        kappa,
+        ham,
+        pull_tol=params.pull_tol,
+        lin_tol=params.lin_tol,
+        epsilon=_fixed_epsilon(params),
     )
-    outcomes.append(check_number_bound(state, kappa, eps, basis, grid, quad))
-    outcomes.append(check_overlap(state, basis, c_number=c_number))
-    try:
-        outcomes.append(check_arai_identities(state, kappa, basis, grid, quad, ham))
-    except SpectralConditionViolated as exc:
-        outcomes.append(
-            CheckOutcome("eigenprojection-identities", "skipped", math.nan, math.nan, {"reason": str(exc)})
-        )
-    outcomes += _identity_outcomes(params, grid, quad, basis, ham, kappa, eps, state=state)
+    outcomes += _identity_outcomes(params, ham, kappa, choice.epsilon, state=state)
     ok = _print_outcomes(outcomes)
     doc = solve_document(params, kappa, state, consts, outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -149,8 +139,8 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     return 0 if ok else 1
 
 
-def _identity_outcomes(params, grid, quad, basis, ham, kappa, eps, state=None):
-    seed = params.seed
+def _identity_outcomes(params, ham, kappa, eps, state=None):
+    basis, grid, quad, seed = ham.basis, ham.grid, ham.quadrature, params.seed
     outcomes = [
         check_ccr(basis, grid, seed=seed),
         check_free_commutators(basis, grid, seed=seed),
@@ -159,7 +149,7 @@ def _identity_outcomes(params, grid, quad, basis, ham, kappa, eps, state=None):
         check_weak_commutator(basis, grid, quad.nodes[quad.num_nodes // 2], seed=seed),
     ]
     if kappa > 0 and basis.n_max >= 8:
-        outcomes.append(check_hbound(kappa, eps, basis, grid, quad, ham, seed=seed))
+        outcomes.append(check_hbound(kappa, eps, ham, seed=seed))
     if basis.n_max >= 8:
         if state is not None:
             psi = state.vector.copy()
@@ -168,18 +158,14 @@ def _identity_outcomes(params, grid, quad, basis, ham, kappa, eps, state=None):
             psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
         else:
             psi = draw_interior_vectors(basis, 8, 1, seed)[0]
-        outcomes.append(check_phi3_bound(psi, kappa, eps, basis, grid, quad, ham))
+        outcomes.append(check_phi3_bound(psi, kappa, eps, ham))
     return outcomes
 
 
 def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
-    grid, quad, basis, ham = _build(params)
-    consts = compute_constants(basis, grid, quad)
-    policy = params.epsilon_value if params.epsilon_policy == "fixed" else "optimized"
+    ham = _build(params)
+    consts = compute_constants(ham.basis, ham.grid, ham.quadrature)
     report = sweep_kappa(
-        basis,
-        grid,
-        quad,
         ham,
         consts,
         params.kappa_list,
@@ -188,7 +174,7 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
         max_iter=params.max_iter,
         seed=params.seed,
         pull_tol=params.pull_tol,
-        epsilon_policy=policy,
+        epsilon=_fixed_epsilon(params),
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(report, params, out_dir / "sweep.csv")
@@ -203,12 +189,12 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
 
 
 def cmd_verify(params: ModelParams, out_dir: Path) -> int:
-    grid, quad, basis, ham = _build(params)
+    ham = _build(params)
     kappa = params.kappa if params.kappa is not None else (
         params.kappa_list[0] if params.kappa_list else 0.1
     )
-    eps = _epsilon_for(params, kappa, grid, quad)
-    outcomes = _identity_outcomes(params, grid, quad, basis, ham, kappa, eps)
+    eps = _epsilon_for(params, kappa, ham)
+    outcomes = _identity_outcomes(params, ham, kappa, eps)
     ok = _print_outcomes(outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(verify_document(params, outcomes), out_dir / "verify.json")

@@ -295,11 +295,10 @@ def project_vacuum(basis: FockBasis, v: np.ndarray, which: str = "P0") -> np.nda
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Matrix-free linear operator on coefficient vectors."""
+    """Matrix-free Hermitian linear operator on coefficient vectors."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
-    hermitian: bool = True
     descriptor: str = ""
 
     def __call__(self, v: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ from .errors import ConfigError
 from .fock import (
     FockBasis,
     OperatorHandle,
-    apply_dgamma_omega,
     apply_smeared,
     free_energies,
 )
@@ -33,7 +32,6 @@ def build_field(basis: FockBasis, grid: ModeGrid, x) -> OperatorHandle:
     return OperatorHandle(
         apply=lambda v: apply_smeared(basis, grid, smearing, v, "segal"),
         dim=basis.dim,
-        hermitian=True,
         descriptor=f"phi(x={np.round(x, 12).tolist()})",
     )
 
@@ -78,22 +76,6 @@ def apply_interaction(
     return coef @ field_powers(basis, grid, phases, v, 4)
 
 
-def apply_total(
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
-    kappa: float,
-    v: np.ndarray,
-) -> np.ndarray:
-    """Total Hamiltonian action: free part plus kappa times the interaction."""
-    if kappa < 0:
-        raise ConfigError("coupling kappa must be nonnegative")
-    out = apply_dgamma_omega(basis, grid, v)
-    if kappa != 0.0:
-        out = out + kappa * apply_interaction(basis, grid, quad, v)
-    return out
-
-
 class HamiltonianSet:
     """Handles for the free, interaction, and total Hamiltonians.
 
@@ -112,13 +94,12 @@ class HamiltonianSet:
         esum = free_energies(basis, grid)
         self.coef, self.phases, self._esum = coef, phases, esum
         self.h0 = OperatorHandle(
-            apply=lambda v: esum * v, dim=basis.dim, hermitian=True, descriptor="H0"
+            apply=lambda v: esum * v, dim=basis.dim, descriptor="H0"
         )
         self.hi = OperatorHandle(
             apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4),
             dim=basis.dim,
-            hermitian=True,
-            descriptor="HI",
+                descriptor="HI",
         )
 
     def hkappa(self, kappa: float) -> OperatorHandle:
@@ -130,7 +111,6 @@ class HamiltonianSet:
         return OperatorHandle(
             apply=lambda v: esum * v + kappa * hi(v),
             dim=self.basis.dim,
-            hermitian=True,
-            descriptor=f"H(kappa={kappa!r})",
+                descriptor=f"H(kappa={kappa!r})",
         )
 

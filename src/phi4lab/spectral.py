@@ -22,13 +22,22 @@ from .errors import (
 )
 from .fock import OperatorHandle
 
-DEFAULT_BLOCK = 40
+BLOCK_STEPS = 40  # Lanczos steps per restart
 DEGENERACY_RTOL = 1e-8
 
 
 @dataclass
 class SpectralResult:
-    """Converged extremal eigenpair with convergence diagnostics."""
+    """Converged extremal eigenpair with convergence diagnostics.
+
+    ``gap_estimate`` is the difference of the two lowest Ritz values of the
+    last Lanczos block.  The second Ritz value bounds e1 from above (Cauchy
+    interlacing), so this is an upper bound on the spectral gap e1 - e0, not
+    the gap itself, and it depends on the seed: a block started from the
+    nearly converged ground state resolves e1 only as far as the start vector
+    still overlaps the first excited state (which may have the other
+    boson-number parity, a sector H never mixes with the ground state's).
+    """
 
     e0: float
     vector: np.ndarray
@@ -88,30 +97,26 @@ def ground_state(
     tol: float = 1e-10,
     max_iter: int = 20_000,
     seed: int = 0,
-    block: int = DEFAULT_BLOCK,
-    degeneracy_rtol: float = DEGENERACY_RTOL,
 ) -> SpectralResult:
     """Lowest eigenpair of a Hermitian handle by restarted Lanczos.
 
     Converges when the explicit residual ||H v - e v|| drops below ``tol``.
     The returned vector is unit norm with its vacuum (index 0) coefficient
     rotated to the nonnegative real axis, so overlaps with the vacuum are
-    reproducible across runs.  If the two lowest Ritz values are closer than
-    ``degeneracy_rtol * max(1, |e0|)`` a NearDegenerateWarning is issued and
-    flagged on the result; simplicity of the ground state is detected, not
-    assumed.
+    reproducible across runs.  ``gap_estimate`` is the difference of the two
+    lowest Ritz values of the last block, an upper bound on the spectral gap
+    (see SpectralResult).  If it is below ``DEGENERACY_RTOL * max(1, |e0|)`` a
+    NearDegenerateWarning is issued and flagged on the result.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if isinstance(h, OperatorHandle) and not h.hermitian:
-        raise ValueError(f"ground_state needs a Hermitian handle, got {h.descriptor!r}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     total_matvecs = 0
     gap = np.inf
     while True:
-        theta, ritz, used = _lanczos_block(h, x, block)
+        theta, ritz, used = _lanczos_block(h, x, BLOCK_STEPS)
         total_matvecs += used
         e0 = float(theta[0])
         x = ritz[:, 0]
@@ -134,7 +139,7 @@ def ground_state(
         anchor = x[np.argmax(np.abs(x))]
     if abs(anchor) > 0:
         x = x * (np.conj(anchor) / abs(anchor))
-    near = gap <= degeneracy_rtol * max(1.0, abs(e0))
+    near = gap <= DEGENERACY_RTOL * max(1.0, abs(e0))
     if near:
         warnings.warn(
             f"two lowest Ritz values within {gap:.3e} of each other; "
@@ -155,22 +160,17 @@ def solve_shifted(
     h: OperatorHandle,
     shift: float,
     rhs: np.ndarray,
+    *,
+    emin: float,
     tol: float = 1e-12,
-    max_iter: int | None = None,
-    emin: float | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Solve (H + shift) x = rhs by conjugate gradients.
 
-    Requires H + shift positive definite, i.e. shift > -min spec(H); the
-    minimum is estimated with a coarse ground-state run unless ``emin`` is
-    supplied by the caller (solvers in this package always know it already).
-    Convergence is ||(H + shift) x - rhs|| <= tol * ||rhs||.
+    Requires H + shift positive definite, i.e. shift > -emin with ``emin`` the
+    caller's minimum of spec(H) (the ground energy it has already computed).
+    Convergence is ||(H + shift) x - rhs|| <= tol * ||rhs||, within
+    max(1000, 20 dim) iterations.
     """
-    dim = rhs.shape[0]
-    if emin is None:
-        est = ground_state(h, dim, tol=1e-8, max_iter=5000, seed=seed)
-        emin = est.e0
     floor = emin + shift
     if floor <= 1e-14 * max(1.0, abs(emin)):
         raise IndefiniteShift(
@@ -179,8 +179,7 @@ def solve_shifted(
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
-    if max_iter is None:
-        max_iter = max(1000, 20 * dim)
+    max_iter = max(1000, 20 * rhs.shape[0])
     x = np.zeros_like(rhs)
     r = rhs.copy()
     p = r.copy()
@@ -208,18 +207,3 @@ def rayleigh_quotient(h: OperatorHandle, v: np.ndarray) -> float:
         raise ZeroVector("Rayleigh quotient of the zero vector")
     q = np.vdot(v, h(v)) / nrm2
     return float(np.real(q))
-
-
-def estimate_operator_norm(h: OperatorHandle, dim: int, iters: int = 30, seed: int = 1) -> float:
-    """Largest |eigenvalue| estimate by power iteration (Hermitian handles)."""
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    u /= np.linalg.norm(u)
-    est = 0.0
-    for _ in range(iters):
-        w = h(u)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        u = w / est
-    return est

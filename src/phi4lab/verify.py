@@ -33,7 +33,7 @@ from .fock import (
     apply_smeared,
     project_vacuum,
 )
-from .grid import ModeGrid, SpatialQuadrature
+from .grid import ModeGrid
 from .hamiltonian import HamiltonianSet, field_powers
 from .spectral import SpectralResult, ground_state, solve_shifted
 from .theory import (
@@ -257,15 +257,16 @@ def check_double_commutator(
     def h0(u):
         return apply_dgamma_omega(basis, grid, u)
 
-    def inner_comm(u):
-        return phi2(h0(u)) - h0(phi2(u))
+    def inner_comm(u, phi2_u):
+        return phi2(h0(u)) - h0(phi2_u)
 
     worst = 0.0
     bound_worst = 0.0
     # C-contiguous rows keep each reduction bit-identical to a single-vector call
     for block in _interior_blocks(basis, 4, count, seed):
-        lhs_rows = np.ascontiguousarray(phi2(inner_comm(block)) - inner_comm(phi2(block)))
-        rhs_rows = np.ascontiguousarray(-4.0 * f_omega * phi2(block))
+        p2 = phi2(block)
+        lhs_rows = np.ascontiguousarray(phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2)))
+        rhs_rows = np.ascontiguousarray(-4.0 * f_omega * p2)
         for v, lhs, rhs in zip(block, lhs_rows, rhs_rows):
             worst = max(worst, _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs)))
             quad_form = abs(np.vdot(v, lhs))
@@ -333,9 +334,6 @@ def check_weak_commutator(
 def check_hbound(
     kappa: float,
     epsilon: float,
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
@@ -348,13 +346,13 @@ def check_hbound(
           <= ||H(k) v||^2 + (4 d_bos + c_bos / 4e) k ||v||^2
     and the divided form with lambda, mu coefficients.
     """
-    c_bos, d_bos = hbound_constants(grid, quad)
+    c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
     limit = epsilon_upper_limit(kappa, c_bos)
     if not 0.0 < epsilon < limit:
         raise EpsilonOutOfRange(f"epsilon {epsilon} outside (0, {limit})")
     lam = 1.0 / (1.0 - c_bos * epsilon * kappa)
     mu = kappa * lam * (4.0 * d_bos + c_bos / (4.0 * epsilon))
-    vectors = draw_interior_vectors(basis, 8, count, seed)
+    vectors = draw_interior_vectors(ham.basis, 8, count, seed)
     min_slack = math.inf
     worst = -math.inf
     for v in vectors:
@@ -387,9 +385,6 @@ def check_phi3_bound(
     psi: np.ndarray,
     kappa: float,
     epsilon: float,
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     tol: float = 1e-10,
 ) -> CheckOutcome:
@@ -402,6 +397,7 @@ def check_phi3_bound(
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
     psi must live in grades <= n_max - 8.
     """
+    basis, grid, quad = ham.basis, ham.grid, ham.quadrature
     c_bos, _ = hbound_constants(grid, quad)
     limit = epsilon_upper_limit(kappa, c_bos)
     if not 0.0 < epsilon < limit:
@@ -443,9 +439,7 @@ def check_number_bound(
     state: SpectralResult,
     kappa: float,
     epsilon: float,
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
+    ham: HamiltonianSet,
     tol: float = 1e-10,
     cross_tol: float = 1e-12,
 ) -> CheckOutcome:
@@ -454,13 +448,13 @@ def check_number_bound(
     Also cross-checks <v, N v> against the per-mode ladder sum
     sum_i ||a_i v||^2, which must agree to machine precision.
     """
-    v = state.vector
+    basis, v = ham.basis, state.vector
     nb = float(np.real(np.vdot(v, apply_number(basis, v))))
     ladder_sum = 0.0
     for i in range(basis.num_modes):
         ladder_sum += float(np.linalg.norm(apply_mode_annihilation(basis, i, v))) ** 2
     cross_rel = _rel(abs(nb - ladder_sum), max(nb, 1.0))
-    fam = epsilon_family(epsilon, kappa, state.e0, grid, quad)
+    fam = epsilon_family(epsilon, kappa, state.e0, ham.grid, ham.quadrature)
     slack = fam.c_number - nb
     ok = slack >= -tol * max(1.0, fam.c_number) and cross_rel <= cross_tol
     return CheckOutcome(
@@ -515,9 +509,6 @@ def _phi3_source(ham: HamiltonianSet, v: np.ndarray) -> np.ndarray:
 def check_pull_through(
     state: SpectralResult,
     kappa: float,
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     tol: float = 1e-6,
     lin_tol: float = 1e-12,
@@ -549,7 +540,7 @@ def check_pull_through(
     defect is confined to the top grades (interior part at roundoff);
     otherwise the check fails.
     """
-    v = state.vector
+    basis, grid, v = ham.basis, ham.grid, state.vector
     tgw = top_grade_weight(basis, v)
     outcomes: list[CheckOutcome] = []
     if kappa == 0.0:
@@ -629,9 +620,6 @@ def check_pull_through(
 def check_arai_identities(
     state: SpectralResult,
     kappa: float,
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     tol_energy: float = 1e-9,
     tol_vector: float = 1e-8,
@@ -642,6 +630,7 @@ def check_arai_identities(
     projected on the vacuum), and t = vac - k (H0perp - e0)^{-1} Pperp HI t.
     Requires e0 strictly below the reduced free spectrum min omega.
     """
+    basis, grid = ham.basis, ham.grid
     min_omega = float(grid.omega.min())
     if state.e0 >= min_omega:
         raise SpectralConditionViolated(
@@ -674,6 +663,39 @@ def check_arai_identities(
             "kappa": kappa,
         },
     )
+
+
+def check_state(
+    state: SpectralResult,
+    kappa: float,
+    ham: HamiltonianSet,
+    *,
+    pull_tol: float,
+    lin_tol: float,
+    epsilon: float | None = None,
+) -> tuple[EpsilonChoice, list[CheckOutcome]]:
+    """Every check of one computed ground state, as ``solve`` and ``sweep`` run them.
+
+    ``epsilon`` None takes the optimal epsilon (``optimize_epsilon``), a number
+    takes that fixed epsilon.  Outcomes come in report order: pull-through per
+    mode, boson-number bound, vacuum overlap, eigenprojection identities (status
+    "skipped" with the reason when their spectral condition fails).
+    """
+    grid, quad = ham.grid, ham.quadrature
+    if epsilon is None:
+        choice = optimize_epsilon(kappa, state.e0, grid, quad)
+    else:
+        choice = EpsilonChoice(epsilon, epsilon_family(epsilon, kappa, state.e0, grid, quad).c_number)
+    outcomes = check_pull_through(state, kappa, ham, tol=pull_tol, lin_tol=lin_tol)
+    outcomes.append(check_number_bound(state, kappa, choice.epsilon, ham))
+    outcomes.append(check_overlap(state, ham.basis, c_number=choice.c_value))
+    try:
+        outcomes.append(check_arai_identities(state, kappa, ham))
+    except SpectralConditionViolated as exc:
+        outcomes.append(
+            CheckOutcome("eigenprojection-identities", "skipped", math.nan, math.nan, {"reason": str(exc)})
+        )
+    return choice, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -733,9 +755,6 @@ class SweepReport:
 
 
 def sweep_kappa(
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     consts: TheoryConstants,
     kappa_list,
@@ -745,13 +764,13 @@ def sweep_kappa(
     max_iter: int = 20_000,
     seed: int = 0,
     pull_tol: float = 1e-6,
-    epsilon_policy: str | float = "optimized",
+    epsilon: float | None = None,
 ) -> SweepReport:
     """Ground state plus the full check row for every coupling in the list.
 
     kappa_list must be sorted strictly descending (zero allowed as reference
     point in last position).  A failing row marks the report degraded but
-    does not abort the remaining rows.
+    does not abort the remaining rows.  ``epsilon`` is as in ``check_state``.
     """
     kappas = [float(k) for k in kappa_list]
     if any(k < 0 for k in kappas):
@@ -764,9 +783,6 @@ def sweep_kappa(
         try:
             rows.append(
                 _sweep_row(
-                    basis,
-                    grid,
-                    quad,
                     ham,
                     consts,
                     kap,
@@ -775,7 +791,7 @@ def sweep_kappa(
                     max_iter=max_iter,
                     seed=seed,
                     pull_tol=pull_tol,
-                    epsilon_policy=epsilon_policy,
+                    epsilon=epsilon,
                 )
             )
         except Phi4LabError as exc:
@@ -838,9 +854,6 @@ def sweep_kappa(
 
 
 def _sweep_row(
-    basis: FockBasis,
-    grid: ModeGrid,
-    quad: SpatialQuadrature,
     ham: HamiltonianSet,
     consts: TheoryConstants,
     kap: float,
@@ -850,23 +863,16 @@ def _sweep_row(
     max_iter: int,
     seed: int,
     pull_tol: float,
-    epsilon_policy: str | float,
+    epsilon: float | None,
 ) -> SweepRow:
+    basis = ham.basis
     state = ground_state(ham.hkappa(kap), basis.dim, tol=eig_tol, max_iter=max_iter, seed=seed)
     state.kappa = kap
     state.top_grade_weight = top_grade_weight(basis, state.vector)
-    nb = float(np.real(np.vdot(state.vector, apply_number(basis, state.vector))))
-    if epsilon_policy == "optimized":
-        choice = optimize_epsilon(kap, state.e0, grid, quad)
-    else:
-        eps = float(epsilon_policy)
-        choice = EpsilonChoice(eps, epsilon_family(eps, kap, state.e0, grid, quad).c_number)
-    pt_outcomes = check_pull_through(
-        state, kap, basis, grid, quad, ham, tol=pull_tol, lin_tol=lin_tol
+    choice, outcomes = check_state(
+        state, kap, ham, pull_tol=pull_tol, lin_tol=lin_tol, epsilon=epsilon
     )
-    pull_resid = max(o.measured for o in pt_outcomes)
-    number_outcome = check_number_bound(state, kap, choice.epsilon, basis, grid, quad)
-    overlap_outcome = check_overlap(state, basis, c_number=choice.c_value)
+    *pt_outcomes, number_outcome, overlap_outcome, arai = outcomes
     extras = {
         "epsilon_star": choice.epsilon,
         "iterations": state.iterations,
@@ -882,13 +888,11 @@ def _sweep_row(
             "vacuum-overlap": overlap_outcome.passed,
         },
     }
-    min_omega = float(grid.omega.min())
-    if state.e0 < min_omega:
-        arai = check_arai_identities(state, kap, basis, grid, quad, ham)
+    if arai.status == "skipped":
+        extras["arai"] = {"skipped": arai.context["reason"]}
+    else:
         extras["arai"] = arai.context
         extras["check_status"]["eigenprojection-identities"] = arai.passed
-    else:
-        extras["arai"] = {"skipped": f"e0 {state.e0} >= min omega {min_omega}"}
     e_abs = abs(state.e0 - kap * consts.c1)
     return SweepRow(
         kappa=kap,
@@ -899,10 +903,10 @@ def _sweep_row(
         e_over_kappa=e_abs / kap if kap > 0 else 0.0,
         rayleigh_bound=rayleigh_upper_bound(kap, consts),
         paper_bound=series_upper_bound(kap, consts),
-        n_expect=nb,
+        n_expect=number_outcome.measured,
         c_eps_kappa=choice.c_value,
         overlap=abs(state.vector[0]),
-        pullthrough_resid=pull_resid,
+        pullthrough_resid=max(o.measured for o in pt_outcomes),
         top_grade_weight=state.top_grade_weight,
         extras=extras,
     )

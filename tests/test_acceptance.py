@@ -76,7 +76,7 @@ def reference_sweep(reference):
     grid, quad, basis, ham, consts = reference
     start = time.perf_counter()
     report = sweep_kappa(
-        basis, grid, quad, ham, consts, KAPPA_SWEEP, eig_tol=1e-10, lin_tol=1e-12, seed=7
+        ham, consts, KAPPA_SWEEP, eig_tol=1e-10, lin_tol=1e-12, seed=7
     )
     report_elapsed = time.perf_counter() - start
     return report, report_elapsed
@@ -90,9 +90,6 @@ def weak_sweep():
     ham = HamiltonianSet(basis, grid, quad)
     consts = compute_constants(basis, grid, quad)
     return sweep_kappa(
-        basis,
-        grid,
-        quad,
         ham,
         consts,
         params.kappa_list,
@@ -201,16 +198,16 @@ class TestCriterion3InequalitySuite:
         state12 = ground_state(dham.hkappa(kappa), dbasis.dim, tol=1e-11, seed=7)
         eps = optimize_epsilon(kappa, state12.e0, dgrid, dquad).epsilon
         outcomes.append(
-            check_hbound(kappa, eps, dbasis, dgrid, dquad, dham, count=100, seed=6)
+            check_hbound(kappa, eps, dham, count=100, seed=6)
         )
         psi = state12.vector.copy()
         psi[~dbasis.interior_mask(8)] = 0.0
         psi /= np.linalg.norm(psi)
-        outcomes.append(check_phi3_bound(psi, kappa, eps, dbasis, dgrid, dquad, dham))
+        outcomes.append(check_phi3_bound(psi, kappa, eps, dham))
         # number bound and overlap on the reference model at its coupling
         state8 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
         choice = optimize_epsilon(kappa, state8.e0, grid, quad)
-        outcomes.append(check_number_bound(state8, kappa, choice.epsilon, basis, grid, quad))
+        outcomes.append(check_number_bound(state8, kappa, choice.epsilon, ham))
         outcomes.append(check_overlap(state8, basis, c_number=choice.c_value))
         # at a weak coupling the number ceiling drops below 1 and the
         # stronger overlap display becomes active; exercise it for real
@@ -298,7 +295,7 @@ class TestCriterion6PullThrough:
         ham = HamiltonianSet(basis, grid, quad)
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
         outcomes = check_pull_through(
-            state, kappa, basis, grid, quad, ham, tol=1e-6, lin_tol=1e-12
+            state, kappa, ham, tol=1e-6, lin_tol=1e-12
         )
         worst = max(o.measured for o in outcomes)
         unexplained = max(o.context["unexplained"] for o in outcomes)
@@ -322,7 +319,7 @@ class TestCriterion6PullThrough:
             grid, quad, basis = make_reference(n_max=n_max)
             ham = HamiltonianSet(basis, grid, quad)
             state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
-            outcomes = check_pull_through(state, kappa, basis, grid, quad, ham)
+            outcomes = check_pull_through(state, kappa, ham)
             residuals.append(max(o.measured for o in outcomes))
         ok = residuals[0] > residuals[1] > residuals[2]
         assert record(

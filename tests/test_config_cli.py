@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phi4lab
 from phi4lab import ConfigError, load_vector, parse_config, render_config
 from phi4lab.cli import main
 
@@ -219,3 +223,19 @@ class TestCli:
         main(["info", "--config", str(path)])
         capsys.readouterr()
         assert path.read_bytes() == before
+
+    def test_solve_imports_no_scipy_solver_modules(self, tmp_path):
+        # importing scipy.sparse.linalg adds about 10 MB of resident memory to
+        # a solve, so the solvers stay in phi4lab.spectral
+        script = (
+            "import sys\n"
+            "from phi4lab.cli import main\n"
+            f"code = main(['solve', '--config', {str(REFERENCE)!r}, '--out', {str(tmp_path)!r}])\n"
+            "print(code, sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))\n"
+        )
+        src = str(Path(phi4lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        assert run.stdout.splitlines()[-1] == "0 []", run.stdout + run.stderr

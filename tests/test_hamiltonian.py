@@ -10,7 +10,6 @@ from phi4lab import (
     ConfigError,
     CutoffSpec,
     apply_interaction,
-    apply_total,
     build_field,
     build_grid,
     build_spatial_quadrature,
@@ -126,24 +125,21 @@ class TestInteraction:
         assert val.real == pytest.approx(wick, rel=1e-12)
 
     def test_total_at_zero_coupling_is_free(self, two_mode_model):
-        grid, quad, basis, _ = two_mode_model
+        grid, quad, basis, ham = two_mode_model
         v = rand_vec(basis, seed=7)
-        assert np.allclose(
-            apply_total(basis, grid, quad, 0.0, v),
-            apply_dgamma_omega(basis, grid, v),
-        )
+        assert np.allclose(ham.hkappa(0.0)(v), apply_dgamma_omega(basis, grid, v))
 
     def test_total_on_vacuum_is_interaction_only(self, two_mode_model):
-        grid, quad, basis, _ = two_mode_model
+        grid, quad, basis, ham = two_mode_model
         kappa = 0.3
-        lhs = apply_total(basis, grid, quad, kappa, basis.vacuum())
+        lhs = ham.hkappa(kappa)(basis.vacuum())
         rhs = kappa * apply_interaction(basis, grid, quad, basis.vacuum())
         assert np.allclose(lhs, rhs, atol=1e-15)
 
     def test_negative_coupling_rejected(self, two_mode_model):
         grid, quad, basis, ham = two_mode_model
         with pytest.raises(ConfigError):
-            apply_total(basis, grid, quad, -0.1, basis.vacuum())
+            ham.hkappa(-0.1)
         with pytest.raises(ConfigError):
             ham.hkappa(-1.0)
 

@@ -81,6 +81,16 @@ class TestGroundState:
         res = ground_state(handle, 3, tol=1e-12, seed=4)
         assert res.gap_estimate == pytest.approx(2.5, rel=1e-9)
 
+    def test_gap_estimate_bounds_the_dense_gap(self, reference_model):
+        # the second Ritz value of the last block bounds e1 from above
+        grid, quad, basis, ham = reference_model
+        dense = DenseModel(grid, quad, basis.n_max)
+        for kappa in (0.05, 0.2):
+            e0, _, evals = dense.ground(kappa)
+            for seed in (3, 7, 11):
+                res = ground_state(ham.hkappa(kappa), basis.dim, seed=seed)
+                assert res.gap_estimate >= evals[1] - e0 - 1e-9, (kappa, seed)
+
 
 class TestSolveShifted:
     def test_free_vacuum_fixed_point(self, reference_model):

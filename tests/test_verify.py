@@ -19,8 +19,10 @@ from phi4lab import (
     check_overlap,
     check_phi3_bound,
     check_pull_through,
+    check_state,
     check_weak_commutator,
     draw_interior_vectors,
+    epsilon_family,
     ground_state,
     optimize_epsilon,
     sweep_kappa,
@@ -125,23 +127,23 @@ class TestInequalitySuite:
         # n_max = 8 leaves only the vacuum interior at reach 8: the bound
         # reduces to kappa^2 ||HI vac||^2 <= same + positive terms
         grid, quad, basis, ham = reference_model
-        outcome = check_hbound(0.1, 1e-3, basis, grid, quad, ham, count=10, seed=5)
+        outcome = check_hbound(0.1, 1e-3, ham, count=10, seed=5)
         assert outcome.passed
         assert outcome.context["min_slack"] >= 0.0
 
     def test_hbound_zero_coupling_is_equality(self, deep_reference):
         grid, quad, basis, ham = deep_reference
-        outcome = check_hbound(0.0, 1.0, basis, grid, quad, ham, count=20, seed=6)
+        outcome = check_hbound(0.0, 1.0, ham, count=20, seed=6)
         assert outcome.passed
 
     def test_hbound_deep_truncation(self, deep_reference):
         grid, quad, basis, ham = deep_reference
-        outcome = check_hbound(0.1, 9e-4, basis, grid, quad, ham, count=100, seed=7)
+        outcome = check_hbound(0.1, 9e-4, ham, count=100, seed=7)
         assert outcome.passed, outcome.context
 
     def test_phi3_bound_vacuum_zero_coupling(self, reference_model):
         grid, quad, basis, ham = reference_model
-        outcome = check_phi3_bound(basis.vacuum(), 0.0, 1.0, basis, grid, quad, ham)
+        outcome = check_phi3_bound(basis.vacuum(), 0.0, 1.0, ham)
         assert outcome.passed
 
     def test_phi3_bound_single_node_reduces_to_pointwise(self):
@@ -149,7 +151,7 @@ class TestInequalitySuite:
         ham = HamiltonianSet(basis, grid, quad)
         assert quad.num_nodes == 1
         psi = draw_interior_vectors(basis, 8, 1, seed=8)[0]
-        outcome = check_phi3_bound(psi, 0.05, 1e-3, basis, grid, quad, ham)
+        outcome = check_phi3_bound(psi, 0.05, 1e-3, ham)
         assert outcome.passed
 
     def test_phi3_bound_on_interior_ground_state(self, deep_reference):
@@ -160,13 +162,13 @@ class TestInequalitySuite:
         psi[~basis.interior_mask(8)] = 0.0
         psi /= np.linalg.norm(psi)
         eps = optimize_epsilon(kappa, state.e0, grid, quad).epsilon
-        outcome = check_phi3_bound(psi, kappa, eps, basis, grid, quad, ham)
+        outcome = check_phi3_bound(psi, kappa, eps, ham)
         assert outcome.passed, outcome.context
 
     def test_number_bound_zero_coupling(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.0), basis.dim, tol=1e-10, seed=10)
-        outcome = check_number_bound(state, 0.0, 1.0, basis, grid, quad)
+        outcome = check_number_bound(state, 0.0, 1.0, ham)
         assert outcome.passed
         assert outcome.measured == pytest.approx(0.0, abs=1e-18)
 
@@ -175,7 +177,7 @@ class TestInequalitySuite:
         kappa = 0.05
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=11)
         eps = optimize_epsilon(kappa, state.e0, grid, quad).epsilon
-        outcome = check_number_bound(state, kappa, eps, basis, grid, quad)
+        outcome = check_number_bound(state, kappa, eps, ham)
         assert outcome.passed
         assert outcome.context["slack"] > 0
         assert outcome.context["crosscheck_rel"] <= 1e-12
@@ -210,7 +212,7 @@ class TestPullThrough:
     def test_zero_coupling_zero_residual(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.0), basis.dim, tol=1e-11, seed=13)
-        outcomes = check_pull_through(state, 0.0, basis, grid, quad, ham)
+        outcomes = check_pull_through(state, 0.0, ham)
         assert all(o.passed for o in outcomes)
         assert all(o.measured <= 1e-9 for o in outcomes)
 
@@ -219,7 +221,7 @@ class TestPullThrough:
         kappa = 0.05
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-12, seed=14)
         outcomes = check_pull_through(
-            state, kappa, basis, grid, quad, ham, tol=1e-6, lin_tol=1e-13
+            state, kappa, ham, tol=1e-6, lin_tol=1e-13
         )
         dense = DenseModel(grid, quad, basis.n_max)
         hk = dense.hk(kappa)
@@ -248,7 +250,7 @@ class TestPullThrough:
             grid, quad, basis = make_reference(n_max=n_max)
             ham = HamiltonianSet(basis, grid, quad)
             state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=15)
-            outcomes = check_pull_through(state, kappa, basis, grid, quad, ham)
+            outcomes = check_pull_through(state, kappa, ham)
             residuals.append(max(o.measured for o in outcomes))
         assert residuals[0] > residuals[1] > residuals[2]
 
@@ -257,7 +259,7 @@ class TestPullThrough:
         # the solver part is at roundoff and the defect sits in the top grades
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.05), basis.dim, tol=1e-11, seed=16)
-        outcomes = check_pull_through(state, 0.05, basis, grid, quad, ham, tol=1e-6)
+        outcomes = check_pull_through(state, 0.05, ham, tol=1e-6)
         assert all(o.passed for o in outcomes)
         assert all(o.caveat is not None for o in outcomes)
         for o in outcomes:
@@ -280,7 +282,7 @@ class TestPullThrough:
             iterations=state.iterations,
             gap_estimate=state.gap_estimate,
         )
-        outcomes = check_pull_through(perturbed, 0.05, basis, grid, quad, ham, tol=1e-6)
+        outcomes = check_pull_through(perturbed, 0.05, ham, tol=1e-6)
         assert all(o.status == "fail" for o in outcomes)
         for o in outcomes:
             assert o.context["unexplained"] > 1e-6
@@ -294,7 +296,9 @@ class TestPullThrough:
         state = ground_state(ham.hkappa(0.05), basis.dim, tol=1e-11, seed=16)
         grid_off = copy.copy(grid)
         object.__setattr__(grid_off, "rho", 1.01 * grid.rho)
-        outcomes = check_pull_through(state, 0.05, basis, grid_off, quad, ham, tol=1e-6)
+        ham_off = copy.copy(ham)
+        ham_off.grid = grid_off
+        outcomes = check_pull_through(state, 0.05, ham_off, tol=1e-6)
         assert all(o.status == "fail" for o in outcomes)
         assert all(o.context["interior_defect"] > 1e-3 for o in outcomes)
 
@@ -303,7 +307,7 @@ class TestAraiIdentities:
     def test_zero_coupling(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.0), basis.dim, tol=1e-11, seed=17)
-        outcome = check_arai_identities(state, 0.0, basis, grid, quad, ham)
+        outcome = check_arai_identities(state, 0.0, ham)
         assert outcome.passed
         assert outcome.context["energy_residual"] <= 1e-10
 
@@ -311,7 +315,7 @@ class TestAraiIdentities:
         grid, quad, basis, ham = reference_model
         kappa = 0.05
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=18)
-        outcome = check_arai_identities(state, kappa, basis, grid, quad, ham)
+        outcome = check_arai_identities(state, kappa, ham)
         assert outcome.passed, outcome.context
         assert outcome.context["energy_residual"] <= 1e-9 * max(1.0, state.e0)
         assert outcome.context["vector_residual"] <= 1e-8
@@ -322,14 +326,43 @@ class TestAraiIdentities:
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=19)
         assert state.e0 > grid.omega.min()
         with pytest.raises(SpectralConditionViolated):
-            check_arai_identities(state, kappa, basis, grid, quad, ham)
+            check_arai_identities(state, kappa, ham)
+
+
+class TestCheckState:
+    def test_report_order_and_spectral_skip(self, reference_model):
+        grid, quad, basis, ham = reference_model
+        kappa = 0.2  # ground energy exceeds min omega = 1 here
+        state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=19)
+        choice, outcomes = check_state(state, kappa, ham, pull_tol=1e-6, lin_tol=1e-12)
+        assert choice == optimize_epsilon(kappa, state.e0, grid, quad)
+        assert [o.name for o in outcomes] == [
+            f"pull-through[mode {i}]" for i in range(basis.num_modes)
+        ] + ["boson-number-bound", "vacuum-overlap", "eigenprojection-identities"]
+        assert outcomes[-1].status == "skipped"
+        assert "reduced free spectrum" in outcomes[-1].context["reason"]
+
+    def test_fixed_epsilon_and_vanishing_overlap_skip(self, reference_model):
+        grid, quad, basis, ham = reference_model
+        state = SpectralResult(
+            e0=0.5, vector=basis.unit((0, 1, 0)), residual=0.0, iterations=0, gap_estimate=1.0
+        )
+        choice, outcomes = check_state(
+            state, 0.05, ham, pull_tol=1e-6, lin_tol=1e-12, epsilon=1e-3
+        )
+        assert choice.epsilon == 1e-3
+        assert choice.c_value == epsilon_family(1e-3, 0.05, 0.5, grid, quad).c_number
+        number = outcomes[-3]
+        assert number.context["epsilon"] == 1e-3 and number.threshold == choice.c_value
+        assert outcomes[-1].status == "skipped"
+        assert "vacuum overlap vanishes" in outcomes[-1].context["reason"]
 
 
 class TestSweep:
     def test_single_zero_row(self, reference_model):
         grid, quad, basis, ham = reference_model
         consts = compute_constants(basis, grid, quad)
-        report = sweep_kappa(basis, grid, quad, ham, consts, [0.0], seed=20)
+        report = sweep_kappa(ham, consts, [0.0], seed=20)
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.e0 == pytest.approx(0.0, abs=1e-10)
@@ -341,16 +374,16 @@ class TestSweep:
         grid, quad, basis, ham = reference_model
         consts = compute_constants(basis, grid, quad)
         with pytest.raises(ConfigError):
-            sweep_kappa(basis, grid, quad, ham, consts, [0.1, 0.2])
+            sweep_kappa(ham, consts, [0.1, 0.2])
         with pytest.raises(ConfigError):
-            sweep_kappa(basis, grid, quad, ham, consts, [-0.1])
+            sweep_kappa(ham, consts, [-0.1])
 
     def test_rows_match_dense_energies(self, reference_model):
         grid, quad, basis, ham = reference_model
         consts = compute_constants(basis, grid, quad)
         kappas = [0.1, 0.05, 0.025]
         report = sweep_kappa(
-            basis, grid, quad, ham, consts, kappas, eig_tol=1e-11, seed=21
+            ham, consts, kappas, eig_tol=1e-11, seed=21
         )
         dense = DenseModel(grid, quad, basis.n_max)
         for row, kappa in zip(report.rows, kappas):
@@ -362,8 +395,8 @@ class TestSweep:
     def test_sweep_deterministic(self, reference_model):
         grid, quad, basis, ham = reference_model
         consts = compute_constants(basis, grid, quad)
-        r1 = sweep_kappa(basis, grid, quad, ham, consts, [0.05, 0.025], seed=22)
-        r2 = sweep_kappa(basis, grid, quad, ham, consts, [0.05, 0.025], seed=22)
+        r1 = sweep_kappa(ham, consts, [0.05, 0.025], seed=22)
+        r2 = sweep_kappa(ham, consts, [0.05, 0.025], seed=22)
         for a, b in zip(r1.rows, r2.rows):
             assert a.e0 == b.e0
             assert a.n_expect == b.n_expect
@@ -376,7 +409,7 @@ class TestSweep:
         consts = compute_constants(basis, grid, quad)
         kappas = [1e-5 * 0.5**i for i in range(3)]
         report = sweep_kappa(
-            basis, grid, quad, ham, consts, kappas, eig_tol=1e-13, seed=24
+            ham, consts, kappas, eig_tol=1e-13, seed=24
         )
         assert report.rows[-1].e_over_kappa < 1e-2
 
@@ -386,7 +419,7 @@ class TestSweep:
         consts = compute_constants(basis, grid, quad)
         kappas = [0.002 * 0.5**i for i in range(7)]
         report = sweep_kappa(
-            basis, grid, quad, ham, consts, kappas, eig_tol=1e-12, seed=23
+            ham, consts, kappas, eig_tol=1e-12, seed=23
         )
         assert report.tail_ratios_decreasing
         assert report.ratio_final_over_first < 0.10
