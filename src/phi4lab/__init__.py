@@ -21,7 +21,6 @@ from .errors import (
     SpectralConditionViolated,
     TruncationTooSmall,
     ZeroFrequencyMode,
-    ZeroVector,
 )
 from .grid import (
     CutoffSpec,
@@ -35,28 +34,15 @@ from .grid import (
 from .fock import (
     FockBasis,
     OperatorHandle,
-    apply_dgamma_omega,
     apply_h0perp_inverse,
     apply_mode_annihilation,
-    apply_mode_creation,
-    apply_number,
     apply_smeared,
     enumerate_basis,
     load_vector,
-    project_vacuum,
     save_vector,
 )
-from .hamiltonian import (
-    HamiltonianSet,
-    apply_interaction,
-    build_field,
-)
-from .spectral import (
-    SpectralResult,
-    ground_state,
-    rayleigh_quotient,
-    solve_shifted,
-)
+from .hamiltonian import HamiltonianSet, apply_interaction
+from .spectral import SpectralResult, ground_state, solve_shifted
 from .theory import (
     EpsilonFamily,
     TheoryConstants,
@@ -65,7 +51,6 @@ from .theory import (
     first_order_coefficient,
     hbound_constants,
     optimize_epsilon,
-    perturbation_constants,
     rayleigh_upper_bound,
     series_upper_bound,
 )

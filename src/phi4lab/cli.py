@@ -120,7 +120,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
         f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
         f"{state.iterations} matvecs, gap {state.gap_estimate:.3e})"
     )
-    choice, outcomes = check_state(
+    fam, outcomes = check_state(
         state,
         kappa,
         ham,
@@ -128,7 +128,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
         lin_tol=params.lin_tol,
         epsilon=_fixed_epsilon(params),
     )
-    outcomes += _identity_outcomes(params, ham, kappa, choice.epsilon, state=state)
+    outcomes += _identity_outcomes(params, ham, kappa, fam.epsilon, state=state)
     ok = _print_outcomes(outcomes)
     doc = solve_document(params, kappa, state, consts, outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,13 +140,13 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
 
 
 def _identity_outcomes(params, ham, kappa, eps, state=None):
-    basis, grid, quad, seed = ham.basis, ham.grid, ham.quadrature, params.seed
+    basis, quad, seed = ham.basis, ham.quadrature, params.seed
     outcomes = [
-        check_ccr(basis, grid, seed=seed),
-        check_free_commutators(basis, grid, seed=seed),
-        check_ladder_bounds(basis, grid, seed=seed),
-        check_double_commutator(grid.rho.astype(complex), basis, grid, seed=seed),
-        check_weak_commutator(basis, grid, quad.nodes[quad.num_nodes // 2], seed=seed),
+        check_ccr(ham, seed=seed),
+        check_free_commutators(ham, seed=seed),
+        check_ladder_bounds(ham, seed=seed),
+        check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
+        check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
     ]
     if kappa > 0 and basis.n_max >= 8:
         outcomes.append(check_hbound(kappa, eps, ham, seed=seed))

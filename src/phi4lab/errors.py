@@ -50,9 +50,5 @@ class SpectralConditionViolated(Phi4LabError):
     """Ground energy is not below the reduced free spectrum."""
 
 
-class ZeroVector(Phi4LabError):
-    """An operation received the zero vector where a direction is required."""
-
-
 class NearDegenerateWarning(UserWarning):
     """Two lowest Ritz values closer than the degeneracy threshold."""

@@ -174,26 +174,6 @@ def apply_mode_annihilation(basis: FockBasis, i: int, v: np.ndarray) -> np.ndarr
     return out
 
 
-def apply_mode_creation(
-    basis: FockBasis, i: int, v: np.ndarray, *, with_dropped: bool = False
-):
-    """Truncated creation: |n> -> sqrt(n_i + 1) |n + e_i>, top grade dropped.
-
-    With ``with_dropped=True`` also returns the squared norm of the dropped
-    part, i.e. sum over top-grade states of (n_i + 1) |v_n|^2.
-    """
-    t = basis.ladders
-    sel = t.mode == i
-    out = np.zeros(basis.dim, dtype=complex)
-    out[t.src[sel]] = t.amp[sel] * v[t.dst[sel]]
-    if not with_dropped:
-        return out
-    top = basis.grades == basis.n_max
-    occ_top = basis.states[top, i].astype(float)
-    dropped = float(np.sum((occ_top + 1.0) * np.abs(v[top]) ** 2))
-    return out, dropped
-
-
 def apply_smeared(
     basis: FockBasis,
     grid: ModeGrid,
@@ -246,24 +226,16 @@ def free_energies(basis: FockBasis, grid: ModeGrid) -> np.ndarray:
     return basis.states @ grid.omega
 
 
-def apply_dgamma_omega(basis: FockBasis, grid: ModeGrid, v: np.ndarray) -> np.ndarray:
-    """Free Hamiltonian dGamma(omega): multiply by sum_i n_i omega(k_i)."""
-    return free_energies(basis, grid) * v
-
-
-def apply_number(basis: FockBasis, v: np.ndarray) -> np.ndarray:
-    """Number operator dGamma(1): multiply by the grade sum_i n_i."""
-    return basis.grades * v
-
-
 def apply_h0perp_inverse(
     basis: FockBasis, grid: ModeGrid, v: np.ndarray, shift: float = 0.0
 ) -> np.ndarray:
     """Reduced resolvent of the free Hamiltonian off the vacuum.
 
-    Maps the vacuum component to zero and divides every other coefficient by
-    ``sum_i n_i omega_i - shift``.  The default shift 0 is the plain reduced
-    inverse; a nonzero shift must stay below the smallest nonzero free energy.
+    Divides every non-vacuum coefficient by ``sum_i n_i omega_i - shift`` and
+    returns 0 at the vacuum whatever the vacuum entry of ``v``, so the input
+    needs no projection off the vacuum first.  The default shift 0 is the
+    plain reduced inverse; a nonzero shift must stay below the smallest
+    nonzero free energy.
     """
     esum = free_energies(basis, grid)
     if shift != 0.0 and basis.dim > 1:
@@ -274,18 +246,6 @@ def apply_h0perp_inverse(
             )
     out = np.zeros(basis.dim, dtype=complex)
     out[1:] = v[1:] / (esum[1:] - shift)
-    return out
-
-
-def project_vacuum(basis: FockBasis, v: np.ndarray, which: str = "P0") -> np.ndarray:
-    """Projection onto the vacuum line (P0) or its complement (P0perp)."""
-    out = v.copy()
-    if which == "P0":
-        out[1:] = 0.0
-    elif which == "P0perp":
-        out[0] = 0.0
-    else:
-        raise ConfigError(f"unknown projection {which!r}")
     return out
 
 

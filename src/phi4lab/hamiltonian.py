@@ -25,17 +25,6 @@ from .fock import (
 from .grid import ModeGrid, SpatialQuadrature
 
 
-def build_field(basis: FockBasis, grid: ModeGrid, x) -> OperatorHandle:
-    """Hermitian field at a spatial point: Segal field of rho * exp(-i k.x)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    smearing = grid.smearing_at(x)
-    return OperatorHandle(
-        apply=lambda v: apply_smeared(basis, grid, smearing, v, "segal"),
-        dim=basis.dim,
-        descriptor=f"phi(x={np.round(x, 12).tolist()})",
-    )
-
-
 def node_phases(
     basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

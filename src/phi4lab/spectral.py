@@ -10,16 +10,11 @@ fixed seed the whole computation is deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    IndefiniteShift,
-    NearDegenerateWarning,
-    NoConvergence,
-    ZeroVector,
-)
+from .errors import IndefiniteShift, NearDegenerateWarning, NoConvergence
 from .fock import OperatorHandle
 
 BLOCK_STEPS = 40  # Lanczos steps per restart
@@ -47,7 +42,6 @@ class SpectralResult:
     near_degenerate: bool = False
     top_grade_weight: float | None = None
     kappa: float | None = None
-    extras: dict = field(default_factory=dict)
 
 
 def _lanczos_block(h: OperatorHandle, start: np.ndarray, steps: int):
@@ -199,11 +193,3 @@ def solve_shifted(
         f"(residual {np.sqrt(abs(rs)):.3e}, target {tol * rhs_norm:.3e})"
     )
 
-
-def rayleigh_quotient(h: OperatorHandle, v: np.ndarray) -> float:
-    """<v, H v> / <v, v>; real up to roundoff for Hermitian handles."""
-    nrm2 = float(np.real(np.vdot(v, v)))
-    if nrm2 == 0.0:
-        raise ZeroVector("Rayleigh quotient of the zero vector")
-    q = np.vdot(v, h(v)) / nrm2
-    return float(np.real(q))

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EpsilonOutOfRange, TruncationTooSmall
-from .fock import FockBasis, apply_h0perp_inverse, project_vacuum
+from .fock import FockBasis, apply_h0perp_inverse
 from .grid import ModeGrid, SpatialQuadrature, cutoff_norm
 from .hamiltonian import apply_interaction
 
@@ -64,21 +63,20 @@ def perturbation_constants(
 ) -> tuple[float, float, float]:
     """(nu0, a, b) of the second-order trial state.
 
-    With w = HI vac, wperp its vacuum-orthogonal part and r the reduced free
-    resolvent applied to wperp:  nu0 = ||r||^2, a = <wperp, r>,
-    b = <r, HI r>.  Computing b exactly requires the interaction applied to a
-    four-quantum vector, hence n_max >= 8; smaller truncations are rejected
-    rather than silently truncated.
+    With w = HI vac and r the reduced free resolvent applied to w (which
+    ignores the vacuum entry of w, and vanishes there):  nu0 = ||r||^2,
+    a = <w, r>, b = <r, HI r>.  Computing b exactly requires the interaction
+    applied to a four-quantum vector, hence n_max >= 8; smaller truncations
+    are rejected rather than silently truncated.
     """
     if basis.n_max < MIN_TRUNCATION_FOR_CUBIC:
         raise TruncationTooSmall(
             f"cubic coefficient needs n_max >= {MIN_TRUNCATION_FOR_CUBIC}, got {basis.n_max}"
         )
     w = apply_interaction(basis, grid, quad, basis.vacuum())
-    wperp = project_vacuum(basis, w, "P0perp")
-    r = apply_h0perp_inverse(basis, grid, wperp)
+    r = apply_h0perp_inverse(basis, grid, w)
     nu0 = float(np.real(np.vdot(r, r)))
-    a = float(np.real(np.vdot(wperp, r)))
+    a = float(np.real(np.vdot(w, r)))
     b = float(np.real(np.vdot(r, apply_interaction(basis, grid, quad, r))))
     return nu0, a, b
 
@@ -180,17 +178,12 @@ def epsilon_family(
     return EpsilonFamily(epsilon=epsilon, kappa=kappa, lam=lam, mu=mu, c_number=c_number)
 
 
-class EpsilonChoice(NamedTuple):
-    epsilon: float
-    c_value: float
-
-
 def optimize_epsilon(
     kappa: float,
     e0: float,
     grid: ModeGrid,
     quad: SpatialQuadrature,
-) -> EpsilonChoice:
+) -> EpsilonFamily:
     """Minimize the boson-number constant over the admissible epsilon interval.
 
     Up to a positive factor the epsilon-dependent part of the constant is
@@ -199,11 +192,11 @@ def optimize_epsilon(
     R P eps^2 + 2 Q R eps - Q = 0, written in the rationalized form
     Q / (Q R + sqrt(Q^2 R^2 + P Q R)), which stays accurate as P -> 0 (where
     it tends to 1/(2R)).  With c_bos = 0 or k = 0 the epsilon-dependent term
-    vanishes and epsilon = 1 is returned.
+    vanishes and epsilon = 1 is taken.  Returns the family at that epsilon.
     """
     c_bos, d_bos = hbound_constants(grid, quad)
     eps = 1.0
     if math.isfinite(epsilon_upper_limit(kappa, c_bos)):
         p, q, r = e0**2 + 4.0 * d_bos * kappa, kappa * c_bos / 4.0, c_bos * kappa
         eps = q / (q * r + math.sqrt((q * r) ** 2 + p * q * r))
-    return EpsilonChoice(eps, epsilon_family(eps, kappa, e0, grid, quad).c_number)
+    return epsilon_family(eps, kappa, e0, grid, quad)

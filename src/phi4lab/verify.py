@@ -18,29 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EpsilonOutOfRange,
-    Phi4LabError,
-    SpectralConditionViolated,
-)
-from .fock import (
-    FockBasis,
-    apply_dgamma_omega,
-    apply_h0perp_inverse,
-    apply_mode_annihilation,
-    apply_number,
-    apply_smeared,
-    project_vacuum,
-)
-from .grid import ModeGrid
+from .errors import ConfigError, Phi4LabError, SpectralConditionViolated
+from .fock import FockBasis, apply_h0perp_inverse, apply_mode_annihilation, apply_smeared
 from .hamiltonian import HamiltonianSet, field_powers
 from .spectral import SpectralResult, ground_state, solve_shifted
 from .theory import (
+    EpsilonFamily,
     TheoryConstants,
-    EpsilonChoice,
     epsilon_family,
-    epsilon_upper_limit,
     hbound_constants,
     optimize_epsilon,
     rayleigh_upper_bound,
@@ -110,8 +95,7 @@ def _rel(diff: float, scale: float) -> float:
 
 
 def check_ccr(
-    basis: FockBasis,
-    grid: ModeGrid,
+    ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
     tol: float = 1e-12,
@@ -121,6 +105,7 @@ def check_ccr(
     [a(f), a+(g)] acts as the weighted inner product (f, g); the same-species
     commutators vanish.  Asserted on grades <= n_max - 2.
     """
+    basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
     vectors = draw_interior_vectors(basis, 2, count, seed + 1)
     worst = 0.0
@@ -150,8 +135,7 @@ def check_ccr(
 
 
 def check_free_commutators(
-    basis: FockBasis,
-    grid: ModeGrid,
+    ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
     tol: float = 1e-12,
@@ -161,15 +145,13 @@ def check_free_commutators(
     [a(f), H0] = a(omega f), [a+(f), H0] = -a+(omega f), and
     [phi(f), H0] = i phi(i omega f), asserted on grades <= n_max - 1.
     """
+    basis, grid, h0 = ham.basis, ham.grid, ham.h0
     rng = np.random.default_rng(seed)
     vectors = draw_interior_vectors(basis, 1, count, seed + 1)
     worst = 0.0
     for v in vectors:
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         wf = grid.omega * f
-
-        def h0(u):
-            return apply_dgamma_omega(basis, grid, u)
 
         def op(fn, u, which):
             return apply_smeared(basis, grid, fn, u, which)
@@ -189,8 +171,7 @@ def check_free_commutators(
 
 
 def check_ladder_bounds(
-    basis: FockBasis,
-    grid: ModeGrid,
+    ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
     tol: float = 1e-12,
@@ -205,6 +186,7 @@ def check_ladder_bounds(
     so random vectors are not projected.  The reported measure is the worst
     negative slack relative to the right-hand side.
     """
+    basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(count):
@@ -213,9 +195,7 @@ def check_ladder_bounds(
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         f_norm = math.sqrt(float(np.sum(grid.weights * np.abs(f) ** 2)))
         f_over = math.sqrt(float(np.sum(grid.weights * np.abs(f) ** 2 / grid.omega)))
-        h0_half = math.sqrt(
-            max(0.0, float(np.real(np.vdot(v, apply_dgamma_omega(basis, grid, v)))))
-        )
+        h0_half = math.sqrt(max(0.0, float(np.real(np.vdot(v, ham.h0(v))))))
         na = np.linalg.norm(apply_smeared(basis, grid, f, v, "annihilate"))
         nc = np.linalg.norm(apply_smeared(basis, grid, f, v, "create"))
         ns = np.linalg.norm(apply_smeared(basis, grid, f, v, "segal"))
@@ -232,8 +212,7 @@ def check_ladder_bounds(
 
 def check_double_commutator(
     f: np.ndarray,
-    basis: FockBasis,
-    grid: ModeGrid,
+    ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
     tol: float = 1e-10,
@@ -245,6 +224,7 @@ def check_double_commutator(
     |<v, [.,[.,H0]] v>| <= 4 ||sqrt(omega) f||^2 (4 ||f/sqrt(omega)||^2
     <v, H0 v> + ||f||^2 ||v||^2).
     """
+    basis, grid, h0 = ham.basis, ham.grid, ham.h0
     f = np.asarray(f, dtype=complex)
     f_omega = float(np.real(np.sum(grid.weights * np.conj(f) * grid.omega * f)))
     sqf2 = float(np.sum(grid.weights * grid.omega * np.abs(f) ** 2))
@@ -253,9 +233,6 @@ def check_double_commutator(
 
     def phi2(u):
         return apply_smeared(basis, grid, f, apply_smeared(basis, grid, f, u, "segal"), "segal")
-
-    def h0(u):
-        return apply_dgamma_omega(basis, grid, u)
 
     def inner_comm(u, phi2_u):
         return phi2(h0(u)) - h0(phi2_u)
@@ -284,8 +261,7 @@ def check_double_commutator(
 
 
 def check_weak_commutator(
-    basis: FockBasis,
-    grid: ModeGrid,
+    ham: HamiltonianSet,
     x,
     count: int = 100,
     seed: int = 0,
@@ -297,6 +273,7 @@ def check_weak_commutator(
         = -2 sqrt2 (f, rho_x) <u, phi(x)^3 v>
     for v in grades <= n_max - 4 (u unrestricted).
     """
+    basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
     smear = grid.smearing_at(x)
 
@@ -346,12 +323,8 @@ def check_hbound(
           <= ||H(k) v||^2 + (4 d_bos + c_bos / 4e) k ||v||^2
     and the divided form with lambda, mu coefficients.
     """
+    fam = epsilon_family(epsilon, kappa, 0.0, ham.grid, ham.quadrature)  # lam, mu only
     c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
-    limit = epsilon_upper_limit(kappa, c_bos)
-    if not 0.0 < epsilon < limit:
-        raise EpsilonOutOfRange(f"epsilon {epsilon} outside (0, {limit})")
-    lam = 1.0 / (1.0 - c_bos * epsilon * kappa)
-    mu = kappa * lam * (4.0 * d_bos + c_bos / (4.0 * epsilon))
     vectors = draw_interior_vectors(ham.basis, 8, count, seed)
     min_slack = math.inf
     worst = -math.inf
@@ -366,7 +339,7 @@ def check_hbound(
         lhs1 = (1.0 - c_bos * epsilon * kappa) * n_h0 + n_hik
         rhs1 = n_hk + (4.0 * d_bos + c_bos / (4.0 * epsilon)) * kappa * n_v
         lhs2 = n_h0 + n_hik
-        rhs2 = lam * n_hk + mu * n_v
+        rhs2 = fam.lam * n_hk + fam.mu * n_v
         for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2)):
             slack = rhs - lhs
             min_slack = min(min_slack, slack)
@@ -398,10 +371,6 @@ def check_phi3_bound(
     psi must live in grades <= n_max - 8.
     """
     basis, grid, quad = ham.basis, ham.grid, ham.quadrature
-    c_bos, _ = hbound_constants(grid, quad)
-    limit = epsilon_upper_limit(kappa, c_bos)
-    if not 0.0 < epsilon < limit:
-        raise EpsilonOutOfRange(f"epsilon {epsilon} outside (0, {limit})")
     fam = epsilon_family(epsilon, kappa, 0.0, grid, quad)  # lam, mu only
     p3 = field_powers(basis, grid, ham.phases, psi, 3)
     p4 = field_powers(basis, grid, ham.phases, p3, 1)
@@ -449,7 +418,7 @@ def check_number_bound(
     sum_i ||a_i v||^2, which must agree to machine precision.
     """
     basis, v = ham.basis, state.vector
-    nb = float(np.real(np.vdot(v, apply_number(basis, v))))
+    nb = float(np.real(np.vdot(v, basis.grades * v)))
     ladder_sum = 0.0
     for i in range(basis.num_modes):
         ladder_sum += float(np.linalg.norm(apply_mode_annihilation(basis, i, v))) ** 2
@@ -486,7 +455,7 @@ def check_overlap(
     """
     v = state.vector
     overlap = abs(v[0])
-    nb = float(np.real(np.vdot(v, apply_number(basis, v))))
+    nb = float(np.real(np.vdot(v, basis.grades * v)))
     slack = overlap**2 - (1.0 - nb)
     ok = slack >= -tol
     context = {"overlap": overlap, "number": nb, "slack": slack}
@@ -643,9 +612,7 @@ def check_arai_identities(
     tilde = v / overlap
     hi_tilde = ham.hi(tilde)
     resid_energy = abs(state.e0 - kappa * complex(hi_tilde[0]))
-    corr = apply_h0perp_inverse(
-        basis, grid, project_vacuum(basis, hi_tilde, "P0perp"), shift=state.e0
-    )
+    corr = apply_h0perp_inverse(basis, grid, hi_tilde, shift=state.e0)
     resid_vector = float(np.linalg.norm(tilde - basis.vacuum() + kappa * corr))
     thr_energy = tol_energy * max(1.0, abs(state.e0))
     ok = resid_energy <= thr_energy and resid_vector <= tol_vector
@@ -673,29 +640,30 @@ def check_state(
     pull_tol: float,
     lin_tol: float,
     epsilon: float | None = None,
-) -> tuple[EpsilonChoice, list[CheckOutcome]]:
+) -> tuple[EpsilonFamily, list[CheckOutcome]]:
     """Every check of one computed ground state, as ``solve`` and ``sweep`` run them.
 
     ``epsilon`` None takes the optimal epsilon (``optimize_epsilon``), a number
-    takes that fixed epsilon.  Outcomes come in report order: pull-through per
+    takes that fixed epsilon; the ``EpsilonFamily`` at the epsilon used comes
+    back with the outcomes.  Outcomes come in report order: pull-through per
     mode, boson-number bound, vacuum overlap, eigenprojection identities (status
     "skipped" with the reason when their spectral condition fails).
     """
     grid, quad = ham.grid, ham.quadrature
     if epsilon is None:
-        choice = optimize_epsilon(kappa, state.e0, grid, quad)
+        fam = optimize_epsilon(kappa, state.e0, grid, quad)
     else:
-        choice = EpsilonChoice(epsilon, epsilon_family(epsilon, kappa, state.e0, grid, quad).c_number)
+        fam = epsilon_family(epsilon, kappa, state.e0, grid, quad)
     outcomes = check_pull_through(state, kappa, ham, tol=pull_tol, lin_tol=lin_tol)
-    outcomes.append(check_number_bound(state, kappa, choice.epsilon, ham))
-    outcomes.append(check_overlap(state, ham.basis, c_number=choice.c_value))
+    outcomes.append(check_number_bound(state, kappa, fam.epsilon, ham))
+    outcomes.append(check_overlap(state, ham.basis, c_number=fam.c_number))
     try:
         outcomes.append(check_arai_identities(state, kappa, ham))
     except SpectralConditionViolated as exc:
         outcomes.append(
             CheckOutcome("eigenprojection-identities", "skipped", math.nan, math.nan, {"reason": str(exc)})
         )
-    return choice, outcomes
+    return fam, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -869,12 +837,12 @@ def _sweep_row(
     state = ground_state(ham.hkappa(kap), basis.dim, tol=eig_tol, max_iter=max_iter, seed=seed)
     state.kappa = kap
     state.top_grade_weight = top_grade_weight(basis, state.vector)
-    choice, outcomes = check_state(
+    fam, outcomes = check_state(
         state, kap, ham, pull_tol=pull_tol, lin_tol=lin_tol, epsilon=epsilon
     )
     *pt_outcomes, number_outcome, overlap_outcome, arai = outcomes
     extras = {
-        "epsilon_star": choice.epsilon,
+        "epsilon_star": fam.epsilon,
         "iterations": state.iterations,
         "gap_estimate": state.gap_estimate,
         "near_degenerate": state.near_degenerate,
@@ -904,7 +872,7 @@ def _sweep_row(
         rayleigh_bound=rayleigh_upper_bound(kap, consts),
         paper_bound=series_upper_bound(kap, consts),
         n_expect=number_outcome.measured,
-        c_eps_kappa=choice.c_value,
+        c_eps_kappa=fam.c_number,
         overlap=abs(state.vector[0]),
         pullthrough_resid=max(o.measured for o in pt_outcomes),
         top_grade_weight=state.top_grade_weight,

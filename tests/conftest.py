@@ -12,7 +12,7 @@ from phi4lab import (
     build_spatial_quadrature,
     enumerate_basis,
 )
-from phi4lab.fock import apply_smeared
+from phi4lab.fock import OperatorHandle, apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
 
 
@@ -44,6 +44,12 @@ def make_two_mode(n_max=4, chib=0.5, nodes=5):
     quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), nodes)
     basis = enumerate_basis(2, n_max)
     return grid, quad, basis
+
+
+def field_handle(basis, grid, x):
+    """phi(x) as a handle: the Segal field of the smearing rho exp(-i k.x)."""
+    f = grid.smearing_at(x)
+    return OperatorHandle(lambda v: apply_smeared(basis, grid, f, v, "segal"), basis.dim)
 
 
 def conjugated_field(basis, grid, x, v):

@@ -107,3 +107,8 @@ def handle_matrix(handle):
         mat[:, j] = handle(e)
         e[j] = 0.0
     return mat
+
+
+def rayleigh_quotient(handle, v):
+    """<v, H v> / <v, v> of a Hermitian handle, real part."""
+    return float(np.real(np.vdot(v, handle(v)))) / float(np.real(np.vdot(v, v)))

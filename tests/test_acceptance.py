@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import DenseModel, handle_matrix
+from oracles import DenseModel, handle_matrix, rayleigh_quotient
 
 from phi4lab import (
     check_ccr,
@@ -39,17 +39,16 @@ from phi4lab import (
     enumerate_basis,
     ground_state,
     optimize_epsilon,
-    rayleigh_quotient,
     rayleigh_upper_bound,
     sweep_kappa,
 )
 from phi4lab.cli import main
 from phi4lab.config import build_model, parse_config
-from phi4lab.fock import apply_h0perp_inverse, apply_number, project_vacuum
+from phi4lab.fock import OperatorHandle, apply_h0perp_inverse
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.theory import compute_constants
 
-from conftest import make_reference, make_single_mode, make_two_mode
+from conftest import field_handle, make_reference, make_single_mode, make_two_mode
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 REFERENCE_CONFIG = CONFIG_DIR / "reference.ini"
@@ -119,10 +118,7 @@ class TestCriterion1OracleEquivalence:
         ham = HamiltonianSet(basis, grid, quad)
         dense = DenseModel(grid, quad, n_max)
         xs = [quad.nodes[0], quad.nodes[quad.num_nodes // 2]]
-        from phi4lab.fock import OperatorHandle
-        from phi4lab.hamiltonian import build_field
-
-        number_handle = OperatorHandle(apply=lambda v: apply_number(basis, v), dim=basis.dim)
+        number_handle = OperatorHandle(apply=lambda v: basis.grades * v, dim=basis.dim)
         pairs = [
             ("H0", ham.h0, dense.h0()),
             ("N", number_handle, dense.number()),
@@ -130,7 +126,7 @@ class TestCriterion1OracleEquivalence:
             ("H(kappa)", ham.hkappa(kappa), dense.hk(kappa)),
         ]
         pairs += [
-            (f"phi({x})", build_field(basis, grid, x), dense.phi(x)) for x in xs
+            (f"phi({x})", field_handle(basis, grid, x), dense.phi(x)) for x in xs
         ]
         worst = 0.0
         for name, handle, mat in pairs:
@@ -170,10 +166,10 @@ class TestCriterion2IdentitySuite:
         rng = np.random.default_rng(99)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         outcomes = [
-            check_ccr(basis, grid, count=100, seed=1, tol=1e-10),
-            check_free_commutators(basis, grid, count=100, seed=2, tol=1e-10),
-            check_double_commutator(f, basis, grid, count=100, seed=3, tol=1e-10),
-            check_weak_commutator(basis, grid, 0.25, count=100, seed=4, tol=1e-10),
+            check_ccr(ham, count=100, seed=1, tol=1e-10),
+            check_free_commutators(ham, count=100, seed=2, tol=1e-10),
+            check_double_commutator(f, ham, count=100, seed=3, tol=1e-10),
+            check_weak_commutator(ham, 0.25, count=100, seed=4, tol=1e-10),
         ]
         elapsed = time.perf_counter() - start
         worst = max(o.measured for o in outcomes)
@@ -190,7 +186,7 @@ class TestCriterion3InequalitySuite:
         grid, quad, basis, ham, consts = reference
         start = time.perf_counter()
         # ladder/field bounds on the reference model
-        outcomes = [check_ladder_bounds(basis, grid, count=100, seed=5)]
+        outcomes = [check_ladder_bounds(ham, count=100, seed=5)]
         # interior reach 8 needs a deeper truncation for substance
         dgrid, dquad, dbasis = make_reference(n_max=12)
         dham = HamiltonianSet(dbasis, dgrid, dquad)
@@ -208,14 +204,14 @@ class TestCriterion3InequalitySuite:
         state8 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
         choice = optimize_epsilon(kappa, state8.e0, grid, quad)
         outcomes.append(check_number_bound(state8, kappa, choice.epsilon, ham))
-        outcomes.append(check_overlap(state8, basis, c_number=choice.c_value))
+        outcomes.append(check_overlap(state8, basis, c_number=choice.c_number))
         # at a weak coupling the number ceiling drops below 1 and the
         # stronger overlap display becomes active; exercise it for real
         weak_kappa = 1e-4
         weak_state = ground_state(ham.hkappa(weak_kappa), basis.dim, tol=1e-12, seed=7)
         weak_choice = optimize_epsilon(weak_kappa, weak_state.e0, grid, quad)
-        assert weak_choice.c_value < 1.0
-        weak_overlap = check_overlap(weak_state, basis, c_number=weak_choice.c_value)
+        assert weak_choice.c_number < 1.0
+        weak_overlap = check_overlap(weak_state, basis, c_number=weak_choice.c_number)
         assert "stronger_slack" in weak_overlap.context
         outcomes.append(weak_overlap)
         elapsed = time.perf_counter() - start
@@ -232,7 +228,7 @@ class TestCriterion4VariationalBound:
     def test_variational_upper_bound(self, reference):
         grid, quad, basis, ham, consts = reference
         w = ham.hi(basis.vacuum())
-        r = apply_h0perp_inverse(basis, grid, project_vacuum(basis, w, "P0perp"))
+        r = apply_h0perp_inverse(basis, grid, w)
         worst_slack = math.inf
         worst_quotient = 0.0
         for kappa in KAPPA_SWEEP:

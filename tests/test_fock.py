@@ -10,19 +10,16 @@ from oracles import enumerate_states, handle_matrix, ladder_matrices
 from phi4lab import (
     BasisTooLarge,
     ConfigError,
-    apply_dgamma_omega,
     apply_h0perp_inverse,
     apply_mode_annihilation,
-    apply_mode_creation,
-    apply_number,
     apply_smeared,
     build_grid,
     enumerate_basis,
     load_vector,
-    project_vacuum,
     save_vector,
 )
 from phi4lab.fock import OperatorHandle
+from phi4lab.hamiltonian import HamiltonianSet
 
 from conftest import make_two_mode
 
@@ -33,6 +30,13 @@ def rand_vec(basis, seed=0, interior=None):
     if interior is not None:
         v[~basis.interior_mask(interior)] = 0.0
     return v / np.linalg.norm(v)
+
+
+def create(basis, i, v):
+    """Truncated a_i^+ v: the smeared creation of the unit smearing e_i on unit weights."""
+    modes = np.arange(basis.num_modes, dtype=float)[:, None]
+    grid = build_grid(1, 1.0, modes=modes, weights=np.ones(basis.num_modes))
+    return apply_smeared(basis, grid, np.eye(basis.num_modes)[i], v, "create")
 
 
 class TestEnumeration:
@@ -87,23 +91,19 @@ class TestEnumeration:
 class TestLadders:
     def test_creation_on_vacuum(self):
         basis = enumerate_basis(1, 3)
-        out = apply_mode_creation(basis, 0, basis.vacuum())
+        out = create(basis, 0, basis.vacuum())
         assert out[basis.index_of((1,))] == 1.0
         assert np.count_nonzero(out) == 1
 
-    def test_creation_at_cap_drops_with_weight(self):
+    def test_creation_at_cap_is_dropped(self):
         basis = enumerate_basis(1, 4)
-        v = basis.unit((4,))
-        out, dropped = apply_mode_creation(basis, 0, v, with_dropped=True)
-        assert np.all(out == 0.0)
-        assert dropped == pytest.approx(5.0)  # (n_max + 1) * ||v||^2
+        assert np.all(create(basis, 0, basis.unit((4,))) == 0.0)
 
     def test_ladders_on_the_vacuum_only_basis(self):
         grid = build_grid(1, 1.0, modes=np.array([[0.5]]), weights=np.array([1.0]))
         basis = enumerate_basis(1, 0)
         vac = basis.vacuum()
-        out, dropped = apply_mode_creation(basis, 0, vac, with_dropped=True)
-        assert np.all(out == 0.0) and dropped == 1.0
+        assert np.all(apply_smeared(basis, grid, np.ones(1), vac, "create") == 0.0)
         assert np.all(apply_smeared(basis, grid, np.ones(1), vac, "segal") == 0.0)
 
     def test_annihilation_of_vacuum(self):
@@ -124,11 +124,11 @@ class TestLadders:
         for i in range(2):
             u = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-            lhs = np.vdot(apply_mode_creation(basis, i, u), v)
+            lhs = np.vdot(create(basis, i, u), v)
             rhs = np.vdot(u, apply_mode_annihilation(basis, i, v))
             assert lhs == pytest.approx(rhs, rel=1e-14)
             # and the dense matrices implement the same maps
-            assert np.allclose(apply_mode_creation(basis, i, v), cre[i] @ v, atol=1e-15)
+            assert np.allclose(create(basis, i, v), cre[i] @ v, atol=1e-15)
             assert np.allclose(apply_mode_annihilation(basis, i, v), ann[i] @ v, atol=1e-15)
 
     def test_mode_ccr_on_interior(self):
@@ -136,9 +136,9 @@ class TestLadders:
         v = rand_vec(basis, seed=5, interior=2)
         for i in range(2):
             for j in range(2):
-                comm = apply_mode_annihilation(
-                    basis, i, apply_mode_creation(basis, j, v)
-                ) - apply_mode_creation(basis, j, apply_mode_annihilation(basis, i, v))
+                comm = apply_mode_annihilation(basis, i, create(basis, j, v)) - create(
+                    basis, j, apply_mode_annihilation(basis, i, v)
+                )
                 expected = v if i == j else np.zeros_like(v)
                 assert np.linalg.norm(comm - expected) < 1e-12
 
@@ -249,31 +249,32 @@ class TestSmearedMemo:
 
 class TestDiagonals:
     def setup_method(self):
-        self.grid, _, self.basis = make_two_mode(n_max=4)
+        self.grid, quad, self.basis = make_two_mode(n_max=4)
+        self.h0 = HamiltonianSet(self.basis, self.grid, quad).h0
 
     def test_free_action_on_vacuum(self):
-        assert np.all(apply_dgamma_omega(self.basis, self.grid, self.basis.vacuum()) == 0.0)
+        assert np.all(self.h0(self.basis.vacuum()) == 0.0)
 
     def test_free_action_single_particle(self):
         v = self.basis.unit((1, 0))
-        out = apply_dgamma_omega(self.basis, self.grid, v)
+        out = self.h0(v)
         assert out[self.basis.index_of((1, 0))] == pytest.approx(self.grid.omega[0])
 
     def test_free_action_additive(self):
         v = self.basis.unit((1, 1))
-        out = apply_dgamma_omega(self.basis, self.grid, v)
+        out = self.h0(v)
         assert out[self.basis.index_of((1, 1))] == pytest.approx(self.grid.omega.sum())
 
     def test_number_examples(self):
         basis = enumerate_basis(1, 3)
-        assert np.all(apply_number(basis, basis.vacuum()) == 0.0)
-        out = apply_number(basis, basis.unit((3,)))
+        assert np.all(basis.grades * basis.vacuum() == 0.0)
+        out = basis.grades * basis.unit((3,))
         assert out[basis.index_of((3,))] == 3.0
 
     def test_number_equals_ladder_sum(self):
         basis = enumerate_basis(2, 4)
         v = rand_vec(basis, seed=9)
-        lhs = np.vdot(v, apply_number(basis, v)).real
+        lhs = np.vdot(v, basis.grades * v).real
         rhs = sum(
             np.linalg.norm(apply_mode_annihilation(basis, i, v)) ** 2 for i in range(2)
         )
@@ -287,24 +288,19 @@ class TestDiagonals:
         assert out[basis.index_of((1,))] == pytest.approx(0.5)
 
     def test_reduced_inverse_is_right_inverse_off_vacuum(self):
-        v = rand_vec(self.basis, seed=11)
-        perp = project_vacuum(self.basis, v, "P0perp")
-        back = apply_dgamma_omega(
-            self.basis, self.grid, apply_h0perp_inverse(self.basis, self.grid, v)
-        )
-        assert np.linalg.norm(back - perp) < 1e-13
+        # the inverse must ignore the vacuum entry, however large
+        mostly_vacuum = rand_vec(self.basis, seed=12) + 5.0 * self.basis.vacuum()
+        for v in (rand_vec(self.basis, seed=11), mostly_vacuum):
+            perp = v.copy()
+            perp[0] = 0.0
+            out = apply_h0perp_inverse(self.basis, self.grid, v)
+            assert out[0] == 0.0
+            assert np.array_equal(out, apply_h0perp_inverse(self.basis, self.grid, perp))
+            assert np.linalg.norm(self.h0(out) - perp) < 1e-13 * np.linalg.norm(v)
 
     def test_reduced_inverse_shift_validation(self):
         with pytest.raises(ConfigError):
             apply_h0perp_inverse(self.basis, self.grid, rand_vec(self.basis), shift=10.0)
-
-    def test_projections(self):
-        v = rand_vec(self.basis, seed=13)
-        p0 = project_vacuum(self.basis, v, "P0")
-        pp = project_vacuum(self.basis, v, "P0perp")
-        assert np.all(p0 + pp == v)
-        assert np.all(project_vacuum(self.basis, self.basis.vacuum(), "P0") == self.basis.vacuum())
-        assert np.all(project_vacuum(self.basis, self.basis.vacuum(), "P0perp") == 0.0)
 
 
 class TestHandleContract:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import DenseModel
+from oracles import DenseModel, rayleigh_quotient
 
 from phi4lab import (
     CutoffSpec,
@@ -19,14 +19,12 @@ from phi4lab import (
     ground_state,
     hbound_constants,
     optimize_epsilon,
-    perturbation_constants,
-    rayleigh_quotient,
     rayleigh_upper_bound,
     series_upper_bound,
 )
 from phi4lab.config import build_model, parse_config
-from phi4lab.fock import apply_h0perp_inverse, project_vacuum
-from phi4lab.theory import compute_constants, epsilon_upper_limit
+from phi4lab.fock import apply_h0perp_inverse
+from phi4lab.theory import compute_constants, epsilon_upper_limit, perturbation_constants
 
 from conftest import make_single_mode, make_two_mode
 
@@ -182,7 +180,7 @@ class TestUpperBounds:
         grid, quad, basis, ham = reference_model
         consts = compute_constants(basis, grid, quad)
         w = ham.hi(basis.vacuum())
-        r = apply_h0perp_inverse(basis, grid, project_vacuum(basis, w, "P0perp"))
+        r = apply_h0perp_inverse(basis, grid, w)
         for kappa in (0.01, 0.05, 0.1):
             trial = basis.vacuum() - kappa * r
             direct = rayleigh_quotient(ham.hkappa(kappa), trial)
@@ -267,13 +265,13 @@ class TestOptimizeEpsilon:
         quad = zero_chi_quad()
         choice = optimize_epsilon(0.1, 0.0, grid, quad)
         assert choice.epsilon == 1.0
-        assert choice.c_value == 0.0
+        assert choice.c_number == 0.0
 
     def test_zero_coupling(self, reference_model):
         grid, quad, basis, _ = reference_model
         choice = optimize_epsilon(0.0, 0.0, grid, quad)
         assert choice.epsilon == 1.0
-        assert choice.c_value == 0.0
+        assert choice.c_number == 0.0
 
     def test_grid_scan_never_beats_optimizer(self, reference_model):
         grid, quad, basis, ham = reference_model
@@ -285,14 +283,14 @@ class TestOptimizeEpsilon:
         best_scan = min(
             epsilon_family(e, 0.05, e0, grid, quad).c_number for e in eps_grid
         )
-        assert choice.c_value <= best_scan * (1.0 + 1e-6)
+        assert choice.c_number <= best_scan * (1.0 + 1e-6)
 
     def test_golden_regression(self, reference_model):
         grid, quad, basis, ham = reference_model
         e0 = ground_state(ham.hkappa(0.05), basis.dim, tol=1e-12, seed=7).e0
         choice = optimize_epsilon(0.05, e0, grid, quad)
         assert choice.epsilon == pytest.approx(GOLDEN_EPSILON_STAR_AT_0P05, rel=1e-6)
-        assert choice.c_value == pytest.approx(GOLDEN_C_NUMBER_AT_0P05, rel=1e-9)
+        assert choice.c_number == pytest.approx(GOLDEN_C_NUMBER_AT_0P05, rel=1e-9)
 
     @pytest.mark.parametrize("config", ["reference.ini", "weak_coupling.ini"])
     def test_closed_form_matches_golden_section(self, config):
@@ -303,8 +301,8 @@ class TestOptimizeEpsilon:
             for e0 in (0.0, kappa * c1):
                 choice = optimize_epsilon(kappa, e0, grid, quad)
                 eps, c_value = golden_section_epsilon(kappa, e0, grid, quad)
-                assert choice.c_value == pytest.approx(c_value, rel=1e-8)
-                assert choice.c_value <= c_value * (1.0 + 1e-14)
+                assert choice.c_number == pytest.approx(c_value, rel=1e-8)
+                assert choice.c_number <= c_value * (1.0 + 1e-14)
                 # the search compares costs on a flat minimum, so it resolves
                 # epsilon only to about sqrt(machine epsilon)
                 assert choice.epsilon == pytest.approx(eps, rel=1e-7)
@@ -319,6 +317,6 @@ class TestOptimizeEpsilon:
         assert epsilon_upper_limit(0.025, c_bos) == pytest.approx(
             2.0 * epsilon_upper_limit(0.05, c_bos)
         )
-        ca = optimize_epsilon(0.05, e0a, grid, quad).c_value
-        cb = optimize_epsilon(0.025, e0b, grid, quad).c_value
+        ca = optimize_epsilon(0.05, e0a, grid, quad).c_number
+        cb = optimize_epsilon(0.025, e0b, grid, quad).c_number
         assert cb < ca

@@ -49,9 +49,9 @@ def test_ball_quadrature_mass(planar_model):
 
 
 def test_identities_hold_in_two_dimensions(planar_model):
-    grid, quad, basis, _ = planar_model
-    assert check_ccr(basis, grid, count=25, seed=1).passed
-    assert check_free_commutators(basis, grid, count=25, seed=2).passed
+    grid, quad, basis, ham = planar_model
+    assert check_ccr(ham, count=25, seed=1).passed
+    assert check_free_commutators(ham, count=25, seed=2).passed
 
 
 def test_field_is_the_phase_conjugated_field_at_the_origin(planar_model):

@@ -8,6 +8,7 @@ from oracles import DenseModel
 
 from phi4lab import (
     ConfigError,
+    EpsilonOutOfRange,
     SpectralConditionViolated,
     check_arai_identities,
     check_ccr,
@@ -24,6 +25,7 @@ from phi4lab import (
     draw_interior_vectors,
     epsilon_family,
     ground_state,
+    hbound_constants,
     optimize_epsilon,
     sweep_kappa,
 )
@@ -43,21 +45,21 @@ def deep_reference():
 
 class TestIdentitySuite:
     def test_ccr(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        assert check_ccr(basis, grid, count=100, seed=0).passed
+        grid, quad, basis, ham = reference_model
+        assert check_ccr(ham, count=100, seed=0).passed
 
     def test_free_commutators(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        assert check_free_commutators(basis, grid, count=100, seed=0).passed
+        grid, quad, basis, ham = reference_model
+        assert check_free_commutators(ham, count=100, seed=0).passed
 
     def test_ladder_bounds(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        assert check_ladder_bounds(basis, grid, count=100, seed=0).passed
+        grid, quad, basis, ham = reference_model
+        assert check_ladder_bounds(ham, count=100, seed=0).passed
 
     def test_double_commutator_zero_smearing(self, reference_model):
-        grid, quad, basis, _ = reference_model
+        grid, quad, basis, ham = reference_model
         outcome = check_double_commutator(
-            np.zeros(basis.num_modes, dtype=complex), basis, grid, count=5, seed=1
+            np.zeros(basis.num_modes, dtype=complex), ham, count=5, seed=1
         )
         assert outcome.passed
         assert outcome.measured == 0.0
@@ -65,7 +67,7 @@ class TestIdentitySuite:
     def test_double_commutator_single_mode_dense(self):
         grid, quad, basis = make_single_mode(n_max=8)
         outcome = check_double_commutator(
-            np.array([0.8 + 0.3j]), basis, grid, count=20, seed=2
+            np.array([0.8 + 0.3j]), HamiltonianSet(basis, grid, quad), count=20, seed=2
         )
         assert outcome.passed
         # dense route: commutators as explicit matrices on the vacuum
@@ -86,16 +88,16 @@ class TestIdentitySuite:
         assert np.abs(diff).max() < 1e-12
 
     def test_double_commutator_three_modes(self, reference_model):
-        grid, quad, basis, _ = reference_model
+        grid, quad, basis, ham = reference_model
         rng = np.random.default_rng(6)
         f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        outcome = check_double_commutator(f, basis, grid, count=100, seed=3, tol=1e-10)
+        outcome = check_double_commutator(f, ham, count=100, seed=3, tol=1e-10)
         assert outcome.passed
         assert outcome.measured <= 1e-10
 
     def test_weak_commutator(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        assert check_weak_commutator(basis, grid, 0.25, count=100, seed=4).passed
+        grid, quad, basis, ham = reference_model
+        assert check_weak_commutator(ham, 0.25, count=100, seed=4).passed
 
     def test_interior_vectors_match_the_one_at_a_time_draw(self, reference_model):
         grid, quad, basis, _ = reference_model
@@ -110,14 +112,14 @@ class TestIdentitySuite:
     def test_batched_checks_do_not_depend_on_the_block_size(self, reference_model, monkeypatch):
         # blocks of one row are the single-vector calls (block rows equal them
         # bit for bit, see test_fock); 7 leaves a short last block
-        grid, quad, basis, _ = reference_model
+        grid, quad, basis, ham = reference_model
         f = grid.rho.astype(complex)
 
         results = []
         for rows in (1, 7, 23):
             monkeypatch.setattr(verify, "BLOCK_ROWS", rows)
-            double = check_double_commutator(f, basis, grid, count=23, seed=5)
-            weak = check_weak_commutator(basis, grid, 0.25, count=23, seed=5)
+            double = check_double_commutator(f, ham, count=23, seed=5)
+            weak = check_weak_commutator(ham, 0.25, count=23, seed=5)
             results.append((double.measured, double.context, weak.measured))
         assert results[1] == results[0] and results[2] == results[0]
 
@@ -130,6 +132,16 @@ class TestInequalitySuite:
         outcome = check_hbound(0.1, 1e-3, ham, count=10, seed=5)
         assert outcome.passed
         assert outcome.context["min_slack"] >= 0.0
+
+    def test_epsilon_at_either_end_of_the_interval_rejected(self, reference_model):
+        grid, quad, basis, ham = reference_model
+        kappa = 0.1
+        c_bos, _ = hbound_constants(grid, quad)
+        for epsilon in (0.0, 1.0 / (c_bos * kappa)):
+            with pytest.raises(EpsilonOutOfRange):
+                check_hbound(kappa, epsilon, ham, count=1)
+            with pytest.raises(EpsilonOutOfRange):
+                check_phi3_bound(basis.vacuum(), kappa, epsilon, ham)
 
     def test_hbound_zero_coupling_is_equality(self, deep_reference):
         grid, quad, basis, ham = deep_reference
@@ -334,8 +346,8 @@ class TestCheckState:
         grid, quad, basis, ham = reference_model
         kappa = 0.2  # ground energy exceeds min omega = 1 here
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=19)
-        choice, outcomes = check_state(state, kappa, ham, pull_tol=1e-6, lin_tol=1e-12)
-        assert choice == optimize_epsilon(kappa, state.e0, grid, quad)
+        fam, outcomes = check_state(state, kappa, ham, pull_tol=1e-6, lin_tol=1e-12)
+        assert fam == optimize_epsilon(kappa, state.e0, grid, quad)
         assert [o.name for o in outcomes] == [
             f"pull-through[mode {i}]" for i in range(basis.num_modes)
         ] + ["boson-number-bound", "vacuum-overlap", "eigenprojection-identities"]
@@ -347,13 +359,12 @@ class TestCheckState:
         state = SpectralResult(
             e0=0.5, vector=basis.unit((0, 1, 0)), residual=0.0, iterations=0, gap_estimate=1.0
         )
-        choice, outcomes = check_state(
+        fam, outcomes = check_state(
             state, 0.05, ham, pull_tol=1e-6, lin_tol=1e-12, epsilon=1e-3
         )
-        assert choice.epsilon == 1e-3
-        assert choice.c_value == epsilon_family(1e-3, 0.05, 0.5, grid, quad).c_number
+        assert fam == epsilon_family(1e-3, 0.05, 0.5, grid, quad)
         number = outcomes[-3]
-        assert number.context["epsilon"] == 1e-3 and number.threshold == choice.c_value
+        assert number.context["epsilon"] == 1e-3 and number.threshold == fam.c_number
         assert outcomes[-1].status == "skipped"
         assert "vacuum overlap vanishes" in outcomes[-1].context["reason"]
 
