@@ -118,7 +118,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     state.top_grade_weight = top_grade_weight(basis, state.vector)
     print(
         f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
-        f"{state.iterations} matvecs, gap {state.gap_estimate:.3e})"
+        f"{state.iterations} matvecs, {state.restarts} restarts, gap {state.gap_estimate:.3e})"
     )
     fam, outcomes = check_state(
         state,

@@ -68,11 +68,12 @@ def apply_interaction(
 class HamiltonianSet:
     """Handles for the free, interaction, and total Hamiltonians.
 
-    Precomputes the diagonal free energies, the active ``nodes``, their
-    weights ``coef`` and the ``(N_active, dim)`` phase table ``phases`` (see
-    ``node_phases``), so a matvec costs one batched field application per
-    power of the field.  The handles close over these arrays, not over the
-    set, so a set is freed as soon as it is unreferenced.
+    Precomputes the diagonal free energies ``esum`` (the diagonal of H0),
+    the active ``nodes``, their weights ``coef`` and the ``(N_active, dim)``
+    phase table ``phases`` (see ``node_phases``), so a matvec costs one
+    batched field application per power of the field.  The handles close
+    over these arrays, not over the set, so a set is freed as soon as it is
+    unreferenced.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
@@ -81,14 +82,14 @@ class HamiltonianSet:
         self.quadrature = quad
         self.nodes, coef, phases = node_phases(basis, grid, quad)
         esum = free_energies(basis, grid)
-        self.coef, self.phases, self._esum = coef, phases, esum
+        self.coef, self.phases, self.esum = coef, phases, esum
         self.h0 = OperatorHandle(
             apply=lambda v: esum * v, dim=basis.dim, descriptor="H0"
         )
         self.hi = OperatorHandle(
             apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4),
             dim=basis.dim,
-                descriptor="HI",
+            descriptor="HI",
         )
 
     def hkappa(self, kappa: float) -> OperatorHandle:
@@ -96,10 +97,10 @@ class HamiltonianSet:
             raise ConfigError("coupling kappa must be nonnegative")
         if kappa == 0.0:
             return dataclasses.replace(self.h0, descriptor="H(kappa=0)")
-        esum, hi = self._esum, self.hi.apply
+        esum, hi = self.esum, self.hi.apply
         return OperatorHandle(
             apply=lambda v: esum * v + kappa * hi(v),
             dim=self.basis.dim,
-                descriptor=f"H(kappa={kappa!r})",
+            descriptor=f"H(kappa={kappa!r})",
         )
 

@@ -113,6 +113,7 @@ def solve_document(
                 "e0": state.e0,
                 "residual": state.residual,
                 "iterations": state.iterations,
+                "restarts": state.restarts,
                 "gap_estimate": state.gap_estimate,
                 "near_degenerate": state.near_degenerate,
                 "top_grade_weight": state.top_grade_weight,

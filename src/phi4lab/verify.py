@@ -406,16 +406,17 @@ def check_phi3_bound(
 
 def check_number_bound(
     state: SpectralResult,
-    kappa: float,
-    epsilon: float,
+    fam: EpsilonFamily,
     ham: HamiltonianSet,
     tol: float = 1e-10,
     cross_tol: float = 1e-12,
 ) -> CheckOutcome:
     """Ground-state boson number against its closed-form ceiling.
 
-    Also cross-checks <v, N v> against the per-mode ladder sum
-    sum_i ||a_i v||^2, which must agree to machine precision.
+    ``fam`` is the epsilon family at (epsilon, kappa, state.e0), as
+    ``check_state`` builds it.  Also cross-checks <v, N v> against the
+    per-mode ladder sum sum_i ||a_i v||^2, which must agree to machine
+    precision.
     """
     basis, v = ham.basis, state.vector
     nb = float(np.real(np.vdot(v, basis.grades * v)))
@@ -423,7 +424,6 @@ def check_number_bound(
     for i in range(basis.num_modes):
         ladder_sum += float(np.linalg.norm(apply_mode_annihilation(basis, i, v))) ** 2
     cross_rel = _rel(abs(nb - ladder_sum), max(nb, 1.0))
-    fam = epsilon_family(epsilon, kappa, state.e0, ham.grid, ham.quadrature)
     slack = fam.c_number - nb
     ok = slack >= -tol * max(1.0, fam.c_number) and cross_rel <= cross_tol
     return CheckOutcome(
@@ -435,8 +435,8 @@ def check_number_bound(
             "slack": slack,
             "ladder_sum": ladder_sum,
             "crosscheck_rel": cross_rel,
-            "epsilon": epsilon,
-            "kappa": kappa,
+            "epsilon": fam.epsilon,
+            "kappa": fam.kappa,
         },
     )
 
@@ -502,9 +502,11 @@ def check_pull_through(
 
     Context reports ``unexplained`` = |z_i| / (omega_i |lhs|),
     ``interior_defect`` = |delta_i| on the interior grades relative to
-    |[a_i, HI_N] psi / sqrt(w_i)|, and ``caveat_bound`` = unexplained +
+    |[a_i, HI_N] psi / sqrt(w_i)|, ``caveat_bound`` = unexplained +
     k |delta_i| / (omega_i |lhs|), which bounds ``measured`` because
-    H_N - E0 >= 0 up to the squared eigen-residual.  A residual above ``tol``
+    H_N - E0 >= 0 up to the squared eigen-residual, and the resolvent solve's
+    ``cg_iterations`` and final relative ``cg_residual`` (CG preconditioned
+    by the free diagonal ``ham.esum + omega_i``).  A residual above ``tol``
     passes with a caveat only when the solver part is within ``tol`` and the
     defect is confined to the top grades (interior part at roundoff);
     otherwise the check fails.
@@ -539,7 +541,9 @@ def check_pull_through(
         lhs = apply_mode_annihilation(basis, i, v) / sqw
         lhs_norm = float(np.linalg.norm(lhs))
         rhs_src = np.exp(-1j * (ham.nodes @ grid.modes[i])) @ sources
-        y = solve_shifted(hk, grid.omega[i] - state.e0, rhs_src, tol=lin_tol, emin=state.e0)
+        y, cg_iterations, cg_residual = solve_shifted(
+            hk, omega - state.e0, rhs_src, precond=ham.esum + omega, emin=state.e0, tol=lin_tol
+        )
         resid_vec = lhs + 2.0 * math.sqrt(2.0) * kappa * grid.rho[i] * y
         rel = _rel(np.linalg.norm(resid_vec), lhs_norm)
         commutator = apply_mode_annihilation(basis, i, hi_v) / sqw - ham.hi(lhs)
@@ -561,6 +565,8 @@ def check_pull_through(
             "truncation_defect": truncation_part,
             "caveat_bound": unexplained + truncation_part,
             "top_grade_weight": tgw,
+            "cg_iterations": cg_iterations,
+            "cg_residual": cg_residual,
             "kappa": kappa,
         }
         name = f"pull-through[mode {i}]"
@@ -655,7 +661,7 @@ def check_state(
     else:
         fam = epsilon_family(epsilon, kappa, state.e0, grid, quad)
     outcomes = check_pull_through(state, kappa, ham, tol=pull_tol, lin_tol=lin_tol)
-    outcomes.append(check_number_bound(state, kappa, fam.epsilon, ham))
+    outcomes.append(check_number_bound(state, fam, ham))
     outcomes.append(check_overlap(state, ham.basis, c_number=fam.c_number))
     try:
         outcomes.append(check_arai_identities(state, kappa, ham))
@@ -844,6 +850,7 @@ def _sweep_row(
     extras = {
         "epsilon_star": fam.epsilon,
         "iterations": state.iterations,
+        "restarts": state.restarts,
         "gap_estimate": state.gap_estimate,
         "near_degenerate": state.near_degenerate,
         "pull_through": [

@@ -203,7 +203,7 @@ class TestCriterion3InequalitySuite:
         # number bound and overlap on the reference model at its coupling
         state8 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
         choice = optimize_epsilon(kappa, state8.e0, grid, quad)
-        outcomes.append(check_number_bound(state8, kappa, choice.epsilon, ham))
+        outcomes.append(check_number_bound(state8, choice, ham))
         outcomes.append(check_overlap(state8, basis, c_number=choice.c_number))
         # at a weak coupling the number ceiling drops below 1 and the
         # stronger overlap display becomes active; exercise it for real

@@ -180,7 +180,7 @@ class TestInequalitySuite:
     def test_number_bound_zero_coupling(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.0), basis.dim, tol=1e-10, seed=10)
-        outcome = check_number_bound(state, 0.0, 1.0, ham)
+        outcome = check_number_bound(state, epsilon_family(1.0, 0.0, state.e0, grid, quad), ham)
         assert outcome.passed
         assert outcome.measured == pytest.approx(0.0, abs=1e-18)
 
@@ -188,8 +188,8 @@ class TestInequalitySuite:
         grid, quad, basis, ham = reference_model
         kappa = 0.05
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=11)
-        eps = optimize_epsilon(kappa, state.e0, grid, quad).epsilon
-        outcome = check_number_bound(state, kappa, eps, ham)
+        fam = optimize_epsilon(kappa, state.e0, grid, quad)
+        outcome = check_number_bound(state, fam, ham)
         assert outcome.passed
         assert outcome.context["slack"] > 0
         assert outcome.context["crosscheck_rel"] <= 1e-12
@@ -197,7 +197,8 @@ class TestInequalitySuite:
     def test_overlap_vacuum(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = SpectralResult(
-            e0=0.0, vector=basis.vacuum(), residual=0.0, iterations=0, gap_estimate=1.0
+            e0=0.0, vector=basis.vacuum(), residual=0.0,
+            iterations=0, restarts=0, gap_estimate=1.0,
         )
         outcome = check_overlap(state, basis)
         assert outcome.passed
@@ -206,7 +207,8 @@ class TestInequalitySuite:
     def test_overlap_one_particle_equality_case(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = SpectralResult(
-            e0=1.0, vector=basis.unit((1, 0, 0)), residual=0.0, iterations=0, gap_estimate=1.0
+            e0=1.0, vector=basis.unit((1, 0, 0)), residual=0.0,
+            iterations=0, restarts=0, gap_estimate=1.0,
         )
         outcome = check_overlap(state, basis)
         assert outcome.passed  # 0 >= 1 - 1
@@ -292,6 +294,7 @@ class TestPullThrough:
             vector=vec / np.linalg.norm(vec),
             residual=state.residual,
             iterations=state.iterations,
+            restarts=state.restarts,
             gap_estimate=state.gap_estimate,
         )
         outcomes = check_pull_through(perturbed, 0.05, ham, tol=1e-6)
@@ -357,7 +360,8 @@ class TestCheckState:
     def test_fixed_epsilon_and_vanishing_overlap_skip(self, reference_model):
         grid, quad, basis, ham = reference_model
         state = SpectralResult(
-            e0=0.5, vector=basis.unit((0, 1, 0)), residual=0.0, iterations=0, gap_estimate=1.0
+            e0=0.5, vector=basis.unit((0, 1, 0)), residual=0.0,
+            iterations=0, restarts=0, gap_estimate=1.0,
         )
         fam, outcomes = check_state(
             state, 0.05, ham, pull_tol=1e-6, lin_tol=1e-12, epsilon=1e-3
