@@ -49,7 +49,9 @@ class LadderTable(NamedTuple):
     One entry per occupied mode of every state, sorted by ``dst``, so entries
     ``dst_ptr[s]:dst_ptr[s + 1]`` land on state s.  Read backwards they are
     the truncated creation amplitudes, a_mode^+ |dst> = amp |src>; creation
-    out of the top grade has no entry.
+    out of the top grade has no entry.  ``segal_ptr`` and ``segal_cols`` are
+    the CSR structure of a(f) + a^+(f); ``segal_pos[0]`` and ``segal_pos[1]``
+    place each entry's annihilation and creation amplitude in its data.
     """
 
     src: np.ndarray
@@ -57,6 +59,9 @@ class LadderTable(NamedTuple):
     amp: np.ndarray
     mode: np.ndarray
     dst_ptr: np.ndarray
+    segal_ptr: np.ndarray
+    segal_cols: np.ndarray
+    segal_pos: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,7 @@ class FockBasis:
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
-    # (key, matrices) of the last smearing apply_smeared built on this basis
+    # (key, matrix) of the last smearing apply_smeared built on this basis
     _smeared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -82,7 +87,7 @@ class FockBasis:
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "ladders", self._ladder_table())
-        object.__setattr__(self, "_smeared", (None, ()))
+        object.__setattr__(self, "_smeared", (None, None))
 
     @property
     def dim(self) -> int:
@@ -136,8 +141,15 @@ class FockBasis:
         lowered = self.states[src].astype(np.int64)
         lowered[np.arange(len(src)), mode] -= 1
         dst = self.rank(lowered)
+        src_ptr = np.searchsorted(src, np.arange(self.dim + 1))  # np.nonzero sorts by src
         order = np.argsort(dst, kind="stable")
         src, dst, mode = src[order], dst[order], mode[order]
+        dst_ptr = np.searchsorted(dst, np.arange(self.dim + 1))
+        # merged Segal row s: the a^+ entries of the ladder entries with src s
+        # (np.nonzero order), then the a entries of those with dst s
+        pos = np.stack([np.arange(len(src)) + src_ptr[dst + 1], dst_ptr[src] + order])
+        cols = np.empty(2 * len(src), dtype=np.int32)
+        cols[pos[0]], cols[pos[1]] = src, dst
         # int32 indices: dim is capped far below 2**31, and scipy.sparse
         # would otherwise scan and downcast them on every matrix it builds
         return LadderTable(
@@ -145,7 +157,10 @@ class FockBasis:
             dst=dst.astype(np.int32),
             amp=np.sqrt(self.states[src, mode].astype(float)),
             mode=mode,
-            dst_ptr=np.searchsorted(dst, np.arange(self.dim + 1)).astype(np.int32),
+            dst_ptr=dst_ptr.astype(np.int32),
+            segal_ptr=(dst_ptr + src_ptr).astype(np.int32),
+            segal_cols=cols,
+            segal_pos=pos.astype(np.int32),
         )
 
 
@@ -189,9 +204,12 @@ def apply_smeared(
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
     ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
-    them, acted on row by row.  The basis keeps the sparse matrices of the
-    last smearing, built from the ladder table and keyed by ``which`` and the
-    bytes of ``f`` and of the weights, the only inputs they depend on.
+    them, acted on row by row.  Each action is one sparse matrix built from
+    the ladder table (CSR, CSC, and for the Segal field one merged CSR); the
+    basis keeps the matrix of the last smearing, keyed by ``which`` and the
+    bytes of ``f`` and of the weights, the only inputs it depends on.  A
+    smearing with no imaginary part, like the field at the origin, gives a
+    float64 matrix: one real product on the float64 view of the block.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -201,24 +219,24 @@ def apply_smeared(
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
     key = (which, f.tobytes(), grid.weights.tobytes())
-    last, ops = basis._smeared
-    if key != last:
-        t = basis.ladders
-        scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
-        shape = (basis.dim, basis.dim)
-        ops = []
-        if which in ("annihilate", "segal"):
-            data = (scale * np.conj(f))[t.mode] * t.amp
-            ops.append(scipy.sparse.csr_matrix((data, t.src, t.dst_ptr), shape=shape))
-        if which in ("create", "segal"):
-            data = (scale * f)[t.mode] * t.amp
-            ops.append(scipy.sparse.csc_matrix((data, t.src, t.dst_ptr), shape=shape))
-        object.__setattr__(basis, "_smeared", (key, ops))
-    block = np.asarray(v).T
-    out = ops[0] @ block
-    if len(ops) == 2:
-        out += ops[1] @ block
-    return out.T
+    if key != basis._smeared[0]:
+        object.__setattr__(basis, "_smeared", (None, None))  # free the old matrix first
+        t, shape = basis.ladders, (basis.dim, basis.dim)
+        scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0) * f
+        vals = (scaled if scaled.imag.any() else scaled.real)[t.mode] * t.amp
+        if which == "annihilate":
+            op = scipy.sparse.csr_matrix((vals.conj(), t.src, t.dst_ptr), shape=shape)
+        elif which == "create":
+            op = scipy.sparse.csc_matrix((vals, t.src, t.dst_ptr), shape=shape)
+        else:
+            data = np.empty(2 * len(vals), dtype=vals.dtype)
+            data[t.segal_pos[0]], data[t.segal_pos[1]] = vals.conj(), vals
+            op = scipy.sparse.csr_matrix((data, t.segal_cols, t.segal_ptr), shape=shape)
+        object.__setattr__(basis, "_smeared", (key, op))
+    op = basis._smeared[1]
+    block = np.ascontiguousarray(np.asarray(v, dtype=complex).T)
+    out = op @ block.reshape(basis.dim, -1).view(op.dtype)
+    return out.view(complex).reshape(block.shape).T
 
 
 def free_energies(basis: FockBasis, grid: ModeGrid) -> np.ndarray:
@@ -226,25 +244,23 @@ def free_energies(basis: FockBasis, grid: ModeGrid) -> np.ndarray:
     return basis.states @ grid.omega
 
 
-def apply_h0perp_inverse(
-    basis: FockBasis, grid: ModeGrid, v: np.ndarray, shift: float = 0.0
-) -> np.ndarray:
+def apply_h0perp_inverse(esum: np.ndarray, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Reduced resolvent of the free Hamiltonian off the vacuum.
 
-    Divides every non-vacuum coefficient by ``sum_i n_i omega_i - shift`` and
-    returns 0 at the vacuum whatever the vacuum entry of ``v``, so the input
-    needs no projection off the vacuum first.  The default shift 0 is the
-    plain reduced inverse; a nonzero shift must stay below the smallest
-    nonzero free energy.
+    ``esum`` is the free diagonal ``sum_i n_i omega_i`` (``free_energies``,
+    held by a ``HamiltonianSet`` as ``esum``).  Divides every non-vacuum
+    coefficient by ``esum - shift`` and returns 0 at the vacuum whatever the
+    vacuum entry of ``v``, so the input needs no projection off the vacuum
+    first.  The default shift 0 is the plain reduced inverse; a nonzero
+    shift must stay below the smallest nonzero free energy.
     """
-    esum = free_energies(basis, grid)
-    if shift != 0.0 and basis.dim > 1:
+    if shift != 0.0 and len(esum) > 1:
         min_pos = esum[1:].min()
         if shift >= min_pos:
             raise ConfigError(
                 f"shift {shift} not below the reduced free spectrum (min {min_pos})"
             )
-    out = np.zeros(basis.dim, dtype=complex)
+    out = np.zeros(len(esum), dtype=complex)
     out[1:] = v[1:] / (esum[1:] - shift)
     return out
 

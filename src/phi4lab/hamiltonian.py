@@ -4,9 +4,11 @@ The interaction HI = sum_j c_j phi(x_j)^4, c_j = u_j chi(x_j), is never
 assembled.  The truncated field is translation covariant, phi(x) = D_x phi(0)
 D_x^+ with the diagonal phase D_x = exp(-i p_n . x), so HI v = sum_j c_j D_j
 phi(0)^4 D_j^+ v is four batched applications of the field at the origin to
-the rows D_j^+ v, one per node where c_j is nonzero (``field_powers``).  Each
-power is exactly Hermitian, since the truncated Segal field is self-adjoint.
-No normal-ordered expansion is attempted.
+the rows D_j^+ v, one per node where c_j is nonzero (``field_powers``).  The
+smearing at the origin is real, so each application is one float64 sparse
+product on the real and imaginary parts of the rows.  Each power is exactly
+Hermitian, since the truncated Segal field is self-adjoint.  No normal-ordered
+expansion is attempted.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError
-from .fock import (
-    FockBasis,
-    OperatorHandle,
-    apply_smeared,
-    free_energies,
-)
+from .fock import FockBasis, OperatorHandle, apply_smeared, free_energies
 from .grid import ModeGrid, SpatialQuadrature
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonOutOfRange, TruncationTooSmall
-from .fock import FockBasis, apply_h0perp_inverse
+from .fock import FockBasis, apply_h0perp_inverse, free_energies
 from .grid import ModeGrid, SpatialQuadrature, cutoff_norm
 from .hamiltonian import apply_interaction
 
@@ -74,7 +74,7 @@ def perturbation_constants(
             f"cubic coefficient needs n_max >= {MIN_TRUNCATION_FOR_CUBIC}, got {basis.n_max}"
         )
     w = apply_interaction(basis, grid, quad, basis.vacuum())
-    r = apply_h0perp_inverse(basis, grid, w)
+    r = apply_h0perp_inverse(free_energies(basis, grid), w)
     nu0 = float(np.real(np.vdot(r, r)))
     a = float(np.real(np.vdot(w, r)))
     b = float(np.real(np.vdot(r, apply_interaction(basis, grid, quad, r))))

@@ -14,7 +14,7 @@ coefficients, projected to the stated interior grades, and normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -618,7 +618,7 @@ def check_arai_identities(
     tilde = v / overlap
     hi_tilde = ham.hi(tilde)
     resid_energy = abs(state.e0 - kappa * complex(hi_tilde[0]))
-    corr = apply_h0perp_inverse(basis, grid, hi_tilde, shift=state.e0)
+    corr = apply_h0perp_inverse(ham.esum, hi_tilde, shift=state.e0)
     resid_vector = float(np.linalg.norm(tilde - basis.vacuum() + kappa * corr))
     thr_energy = tol_energy * max(1.0, abs(state.e0))
     ok = resid_energy <= thr_energy and resid_vector <= tol_vector
@@ -678,7 +678,7 @@ def check_state(
 
 @dataclass
 class SweepRow:
-    """One coupling point of the sweep; field order matches the CSV columns."""
+    """One coupling point of the sweep; the fields before ``extras`` are the CSV columns."""
 
     kappa: float
     e0: float
@@ -696,21 +696,8 @@ class SweepRow:
     extras: dict = field(default_factory=dict)
     failed: bool = False
 
-    CSV_FIELDS = (
-        "kappa",
-        "e0",
-        "residual",
-        "c1_kappa",
-        "e_abs",
-        "e_over_kappa",
-        "rayleigh_bound",
-        "paper_bound",
-        "n_expect",
-        "c_eps_kappa",
-        "overlap",
-        "pullthrough_resid",
-        "top_grade_weight",
-    )
+
+SweepRow.CSV_FIELDS = tuple(f.name for f in fields(SweepRow))[:-2]
 
 
 @dataclass

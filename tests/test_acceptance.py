@@ -228,7 +228,7 @@ class TestCriterion4VariationalBound:
     def test_variational_upper_bound(self, reference):
         grid, quad, basis, ham, consts = reference
         w = ham.hi(basis.vacuum())
-        r = apply_h0perp_inverse(basis, grid, w)
+        r = apply_h0perp_inverse(ham.esum, w)
         worst_slack = math.inf
         worst_quotient = 0.0
         for kappa in KAPPA_SWEEP:

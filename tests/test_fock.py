@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from phi4lab import (
     load_vector,
     save_vector,
 )
-from phi4lab.fock import OperatorHandle
+from phi4lab.fock import OperatorHandle, free_energies
 from phi4lab.hamiltonian import HamiltonianSet
 
 from conftest import make_two_mode
@@ -173,15 +174,38 @@ class TestSmeared:
         pairing = np.sum(self.grid.weights * np.conj(f) * g)
         assert np.linalg.norm(comm - pairing * v) < 1e-12 * abs(pairing)
 
+    @pytest.mark.parametrize("imag", [0.0, 1.0])
+    def test_segal_is_the_scaled_sum_of_the_ladder_pair(self, imag):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(2) + imag * 1j * rng.standard_normal(2)
+        dense = {
+            which: handle_matrix(
+                OperatorHandle(
+                    lambda v, w=which: apply_smeared(self.basis, self.grid, f, v, w), self.basis.dim
+                )
+            )
+            for which in ("annihilate", "create", "segal")
+        }
+        expected = (dense["annihilate"] + dense["create"]) / math.sqrt(2.0)
+        assert np.count_nonzero(expected) > 0
+        assert np.allclose(dense["segal"], expected, rtol=1e-15, atol=0.0)
+
+    def test_real_smearing_gives_a_real_matrix(self):
+        origin = self.grid.smearing_at(np.zeros(self.grid.dimension))
+        for f, dtype in ((origin, np.float64), (origin + 0.5j, np.complex128)):
+            apply_smeared(self.basis, self.grid, f, self.basis.vacuum(), "segal")
+            assert self.basis._smeared[1].dtype == dtype
+
     @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
     def test_block_rows_equal_single_vector_calls(self, which):
         rng = np.random.default_rng(4)
         f = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         block = rng.standard_normal((5, self.basis.dim)) + 1j * rng.standard_normal((5, self.basis.dim))
-        out = apply_smeared(self.basis, self.grid, f, block, which)
-        assert out.shape == block.shape
-        for row, v in zip(out, block):
-            assert np.array_equal(row, apply_smeared(self.basis, self.grid, f, v, which))
+        for smearing in (f, f.real):  # a complex128 and a float64 matrix
+            out = apply_smeared(self.basis, self.grid, smearing, block, which)
+            assert out.shape == block.shape
+            for row, v in zip(out, block):
+                assert np.array_equal(row, apply_smeared(self.basis, self.grid, smearing, v, which))
 
     def test_nonfinite_smearing_rejected(self):
         with pytest.raises(ConfigError):
@@ -191,7 +215,7 @@ class TestSmeared:
 
 
 class TestSmearedMemo:
-    """apply_smeared keeps the matrices of the last smearing on the basis.
+    """apply_smeared keeps the matrix of the last smearing on the basis.
 
     Every call must equal, bit for bit, the same call on a freshly
     enumerated basis, whose memo is empty.
@@ -208,10 +232,10 @@ class TestSmearedMemo:
         out = apply_smeared(self.basis, grid, f, self.v, which)
         fresh = enumerate_basis(self.basis.num_modes, self.basis.n_max)
         assert np.array_equal(out, apply_smeared(fresh, grid, f, self.v, which))
-        # one operator held: the matrices of this call's smearing and nothing else
-        key, ops = self.basis._smeared
+        # one operator held, for every action: the matrix of this call's smearing
+        key, op = self.basis._smeared
         assert key[0] == which
-        assert len(ops) == (2 if which == "segal" else 1)
+        assert scipy.sparse.issparse(op)
         return out
 
     @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
@@ -250,7 +274,8 @@ class TestSmearedMemo:
 class TestDiagonals:
     def setup_method(self):
         self.grid, quad, self.basis = make_two_mode(n_max=4)
-        self.h0 = HamiltonianSet(self.basis, self.grid, quad).h0
+        ham = HamiltonianSet(self.basis, self.grid, quad)
+        self.h0, self.esum = ham.h0, ham.esum
 
     def test_free_action_on_vacuum(self):
         assert np.all(self.h0(self.basis.vacuum()) == 0.0)
@@ -283,8 +308,9 @@ class TestDiagonals:
     def test_reduced_inverse_examples(self):
         grid = build_grid(1, 2.0, modes=np.array([[0.0]]), weights=np.array([1.0]))
         basis = enumerate_basis(1, 3)
-        assert np.all(apply_h0perp_inverse(basis, grid, basis.vacuum()) == 0.0)
-        out = apply_h0perp_inverse(basis, grid, basis.unit((1,)))
+        esum = free_energies(basis, grid)
+        assert np.all(apply_h0perp_inverse(esum, basis.vacuum()) == 0.0)
+        out = apply_h0perp_inverse(esum, basis.unit((1,)))
         assert out[basis.index_of((1,))] == pytest.approx(0.5)
 
     def test_reduced_inverse_is_right_inverse_off_vacuum(self):
@@ -293,14 +319,14 @@ class TestDiagonals:
         for v in (rand_vec(self.basis, seed=11), mostly_vacuum):
             perp = v.copy()
             perp[0] = 0.0
-            out = apply_h0perp_inverse(self.basis, self.grid, v)
+            out = apply_h0perp_inverse(self.esum, v)
             assert out[0] == 0.0
-            assert np.array_equal(out, apply_h0perp_inverse(self.basis, self.grid, perp))
+            assert np.array_equal(out, apply_h0perp_inverse(self.esum, perp))
             assert np.linalg.norm(self.h0(out) - perp) < 1e-13 * np.linalg.norm(v)
 
     def test_reduced_inverse_shift_validation(self):
         with pytest.raises(ConfigError):
-            apply_h0perp_inverse(self.basis, self.grid, rand_vec(self.basis), shift=10.0)
+            apply_h0perp_inverse(self.esum, rand_vec(self.basis), shift=10.0)
 
 
 class TestHandleContract:

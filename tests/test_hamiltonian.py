@@ -14,7 +14,7 @@ from phi4lab import (
     build_spatial_quadrature,
     enumerate_basis,
 )
-from phi4lab import fock
+from phi4lab import fock, hamiltonian
 from phi4lab.fock import apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
 
@@ -216,13 +216,24 @@ class TestMatvecCost:
         grid, quad, basis = make_reference()
         hk = HamiltonianSet(basis, grid, quad).hkappa(0.05)
         v = hk(rand_vec(basis, seed=3))
-        built = []
+        built, calls, products = [], [], []
         for name in ("csr_matrix", "csc_matrix"):
             real = getattr(fock.scipy.sparse, name)
             monkeypatch.setattr(
                 fock.scipy.sparse, name, lambda *a, _n=name, _r=real, **k: built.append(_n) or _r(*a, **k)
             )
-        for _ in range(10):
+            monkeypatch.setattr(
+                real,
+                "__matmul__",
+                lambda op, x, _m=real.__matmul__: products.append((op.dtype, x.dtype)) or _m(op, x),
+            )
+        monkeypatch.setattr(
+            hamiltonian, "apply_smeared", lambda *a: calls.append(a[-1]) or apply_smeared(*a)
+        )
+        v = hk(v / np.linalg.norm(v))
+        assert calls == ["segal"] * 4
+        assert products == [(np.float64, np.float64)] * 4
+        for _ in range(9):
             v = hk(v / np.linalg.norm(v))
         assert built == []
         # the counter does see a build: a new smearing makes one matrix
