@@ -54,11 +54,6 @@ def _build(params: ModelParams) -> HamiltonianSet:
     return HamiltonianSet(basis, grid, quad)
 
 
-def _fixed_epsilon(params: ModelParams) -> float | None:
-    """The configured epsilon, or None when the policy optimizes it per state."""
-    return params.epsilon_value if params.epsilon_policy == "fixed" else None
-
-
 def _epsilon_for(params: ModelParams, kappa: float, ham: HamiltonianSet) -> float:
     """Admissible epsilon for state-free inequality checks."""
     if params.epsilon_policy == "fixed":
@@ -109,25 +104,17 @@ def _solve_kappa(params: ModelParams) -> float:
 def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     ham = _build(params)
     basis = ham.basis
-    consts = compute_constants(basis, ham.grid, ham.quadrature)
+    consts = compute_constants(ham)
     kappa = _solve_kappa(params)
     state = ground_state(
         ham.hkappa(kappa), basis.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
     )
-    state.kappa = kappa
     state.top_grade_weight = top_grade_weight(basis, state.vector)
     print(
         f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
         f"{state.iterations} matvecs, {state.restarts} restarts, gap {state.gap_estimate:.3e})"
     )
-    fam, outcomes = check_state(
-        state,
-        kappa,
-        ham,
-        pull_tol=params.pull_tol,
-        lin_tol=params.lin_tol,
-        epsilon=_fixed_epsilon(params),
-    )
+    fam, outcomes = check_state(state, kappa, ham, params)
     outcomes += _identity_outcomes(params, ham, kappa, fam.epsilon, state=state)
     ok = _print_outcomes(outcomes)
     doc = solve_document(params, kappa, state, consts, outcomes)
@@ -164,18 +151,7 @@ def _identity_outcomes(params, ham, kappa, eps, state=None):
 
 def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
     ham = _build(params)
-    consts = compute_constants(ham.basis, ham.grid, ham.quadrature)
-    report = sweep_kappa(
-        ham,
-        consts,
-        params.kappa_list,
-        eig_tol=params.eig_tol,
-        lin_tol=params.lin_tol,
-        max_iter=params.max_iter,
-        seed=params.seed,
-        pull_tol=params.pull_tol,
-        epsilon=_fixed_epsilon(params),
-    )
+    report = sweep_kappa(ham, compute_constants(ham), params)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(report, params, out_dir / "sweep.csv")
     doc = sweep_document(report, params)

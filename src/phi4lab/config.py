@@ -140,6 +140,14 @@ def _parse_floats(text: str, section: str, key: str) -> list[float]:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
+def _parse_bool(text: str) -> bool:
+    """configparser's boolean words: 1/yes/true/on or 0/no/false/off, any case."""
+    word = text.strip().lower()
+    if word not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"{text.strip()!r} is not a boolean (1/yes/true/on or 0/no/false/off)")
+    return configparser.ConfigParser.BOOLEAN_STATES[word]
+
+
 def _get(parser, section, key, cast, default, *, required=False):
     if not parser.has_option(section, key):
         if required:
@@ -255,10 +263,7 @@ def parse_config(path) -> ModelParams:
         epsilon_policy=_get(parser, "epsilon", "policy", str, defaults.epsilon_policy).strip(),
         epsilon_value=_get(parser, "epsilon", "value", float, None),
         output_dir=_get(parser, "output", "directory", str, defaults.output_dir).strip(),
-        dump_vectors=_get(
-            parser, "output", "dump_vectors", lambda s: s.strip().lower() in ("1", "true", "yes"),
-            defaults.dump_vectors,
-        ),
+        dump_vectors=_get(parser, "output", "dump_vectors", _parse_bool, defaults.dump_vectors),
     )
     return params.validate()
 

@@ -239,20 +239,15 @@ def apply_smeared(
     return out.view(complex).reshape(block.shape).T
 
 
-def free_energies(basis: FockBasis, grid: ModeGrid) -> np.ndarray:
-    """Diagonal of the second-quantized dispersion: sum_i n_i omega_i."""
-    return basis.states @ grid.omega
-
-
 def apply_h0perp_inverse(esum: np.ndarray, v: np.ndarray, shift: float = 0.0) -> np.ndarray:
     """Reduced resolvent of the free Hamiltonian off the vacuum.
 
-    ``esum`` is the free diagonal ``sum_i n_i omega_i`` (``free_energies``,
-    held by a ``HamiltonianSet`` as ``esum``).  Divides every non-vacuum
-    coefficient by ``esum - shift`` and returns 0 at the vacuum whatever the
-    vacuum entry of ``v``, so the input needs no projection off the vacuum
-    first.  The default shift 0 is the plain reduced inverse; a nonzero
-    shift must stay below the smallest nonzero free energy.
+    ``esum`` is the free diagonal ``sum_i n_i omega_i`` (``HamiltonianSet.esum``).
+    Divides every non-vacuum coefficient by ``esum - shift`` and returns 0 at
+    the vacuum whatever the vacuum entry of ``v``, so the input needs no
+    projection off the vacuum first.  The default shift 0 is the plain
+    reduced inverse; a nonzero shift must stay below the smallest nonzero
+    free energy.
     """
     if shift != 0.0 and len(esum) > 1:
         min_pos = esum[1:].min()
@@ -275,7 +270,6 @@ class OperatorHandle:
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
-    descriptor: str = ""
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)

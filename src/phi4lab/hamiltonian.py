@@ -13,29 +13,11 @@ expansion is attempted.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .errors import ConfigError
-from .fock import FockBasis, OperatorHandle, apply_smeared, free_energies
+from .fock import FockBasis, OperatorHandle, apply_smeared
 from .grid import ModeGrid, SpatialQuadrature
-
-
-def node_phases(
-    basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Active quadrature nodes x_j, their weights c_j = u_j chi(x_j), and phases.
-
-    Row j of the phase table is the diagonal of D_j = exp(-i p_n . x_j),
-    p_n = sum_i n_i k_i the total momentum of basis state n.  Nodes where
-    c_j vanishes are dropped.
-    """
-    coef = quad.weights * quad.chi_values
-    active = np.nonzero(coef)[0]
-    momenta = basis.states @ grid.modes
-    phases = np.exp(-1j * (momenta @ quad.nodes[active].T)).T
-    return quad.nodes[active], coef[active], phases
 
 
 def field_powers(
@@ -57,47 +39,43 @@ def field_powers(
 def apply_interaction(
     basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature, v: np.ndarray
 ) -> np.ndarray:
-    """Quartic interaction: sum_j u_j chi(x_j) phi(x_j)^4 v (grade reach 4)."""
-    _, coef, phases = node_phases(basis, grid, quad)
-    return coef @ field_powers(basis, grid, phases, v, 4)
+    """Quartic interaction sum_j u_j chi(x_j) phi(x_j)^4 v, one-off ``HamiltonianSet.hi``."""
+    return HamiltonianSet(basis, grid, quad).hi(v)
 
 
 class HamiltonianSet:
     """Handles for the free, interaction, and total Hamiltonians.
 
-    Precomputes the diagonal free energies ``esum`` (the diagonal of H0),
-    the active ``nodes``, their weights ``coef`` and the ``(N_active, dim)``
-    phase table ``phases`` (see ``node_phases``), so a matvec costs one
-    batched field application per power of the field.  The handles close
-    over these arrays, not over the set, so a set is freed as soon as it is
-    unreferenced.
+    Precomputes the diagonal free energies ``esum = sum_i n_i omega_i`` (the
+    diagonal of H0), the active quadrature ``nodes`` x_j (those where c_j =
+    u_j chi(x_j) is nonzero), their weights ``coef`` c_j and the
+    ``(N_active, dim)`` phase table ``phases``, whose row j is the diagonal of
+    D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of basis
+    state n.  So a matvec costs one batched field application per power of
+    the field.  The handles close over these arrays, not over the set, so a
+    set is freed as soon as it is unreferenced.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
         self.basis = basis
         self.grid = grid
         self.quadrature = quad
-        self.nodes, coef, phases = node_phases(basis, grid, quad)
-        esum = free_energies(basis, grid)
+        weights = quad.weights * quad.chi_values
+        active = np.nonzero(weights)[0]
+        self.nodes, coef = quad.nodes[active], weights[active]
+        phases = np.exp(-1j * ((basis.states @ grid.modes) @ self.nodes.T)).T
+        esum = basis.states @ grid.omega
         self.coef, self.phases, self.esum = coef, phases, esum
-        self.h0 = OperatorHandle(
-            apply=lambda v: esum * v, dim=basis.dim, descriptor="H0"
-        )
+        self.h0 = OperatorHandle(apply=lambda v: esum * v, dim=basis.dim)
         self.hi = OperatorHandle(
-            apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4),
-            dim=basis.dim,
-            descriptor="HI",
+            apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4), dim=basis.dim
         )
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
             raise ConfigError("coupling kappa must be nonnegative")
         if kappa == 0.0:
-            return dataclasses.replace(self.h0, descriptor="H(kappa=0)")
+            return self.h0
         esum, hi = self.esum, self.hi.apply
-        return OperatorHandle(
-            apply=lambda v: esum * v + kappa * hi(v),
-            dim=self.basis.dim,
-            descriptor=f"H(kappa={kappa!r})",
-        )
+        return OperatorHandle(apply=lambda v: esum * v + kappa * hi(v), dim=self.basis.dim)
 

@@ -46,7 +46,6 @@ class SpectralResult:
     gap_estimate: float
     near_degenerate: bool = False
     top_grade_weight: float | None = None
-    kappa: float | None = None
 
 
 def ground_state(

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EpsilonOutOfRange, TruncationTooSmall
-from .fock import FockBasis, apply_h0perp_inverse, free_energies
+from .fock import apply_h0perp_inverse
 from .grid import ModeGrid, SpatialQuadrature, cutoff_norm
-from .hamiltonian import apply_interaction
+from .hamiltonian import HamiltonianSet
 
 MIN_TRUNCATION_FOR_CUBIC = 8
 
@@ -54,14 +54,11 @@ def first_order_coefficient(grid: ModeGrid, quad: SpatialQuadrature) -> float:
     so the quadrature only contributes its chi-weighted mass.
     """
     rho_norm2 = float(np.sum(grid.weights * grid.rho**2))
-    mass = float(np.sum(quad.weights * quad.chi_values))
-    return mass * 0.75 * rho_norm2**2
+    return quad.chi_l1 * 0.75 * rho_norm2**2
 
 
-def perturbation_constants(
-    basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature
-) -> tuple[float, float, float]:
-    """(nu0, a, b) of the second-order trial state.
+def perturbation_constants(ham: HamiltonianSet) -> tuple[float, float, float]:
+    """(nu0, a, b) of the second-order trial state of the model ``ham``.
 
     With w = HI vac and r the reduced free resolvent applied to w (which
     ignores the vacuum entry of w, and vanishes there):  nu0 = ||r||^2,
@@ -69,15 +66,16 @@ def perturbation_constants(
     applied to a four-quantum vector, hence n_max >= 8; smaller truncations
     are rejected rather than silently truncated.
     """
+    basis = ham.basis
     if basis.n_max < MIN_TRUNCATION_FOR_CUBIC:
         raise TruncationTooSmall(
             f"cubic coefficient needs n_max >= {MIN_TRUNCATION_FOR_CUBIC}, got {basis.n_max}"
         )
-    w = apply_interaction(basis, grid, quad, basis.vacuum())
-    r = apply_h0perp_inverse(free_energies(basis, grid), w)
+    w = ham.hi(basis.vacuum())
+    r = apply_h0perp_inverse(ham.esum, w)
     nu0 = float(np.real(np.vdot(r, r)))
     a = float(np.real(np.vdot(w, r)))
-    b = float(np.real(np.vdot(r, apply_interaction(basis, grid, quad, r))))
+    b = float(np.real(np.vdot(r, ham.hi(r))))
     return nu0, a, b
 
 
@@ -92,10 +90,9 @@ def hbound_constants(grid: ModeGrid, quad: SpatialQuadrature) -> tuple[float, fl
     return c_bos, d_bos
 
 
-def compute_constants(
-    basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature
-) -> TheoryConstants:
-    nu0, a, b = perturbation_constants(basis, grid, quad)
+def compute_constants(ham: HamiltonianSet) -> TheoryConstants:
+    grid, quad = ham.grid, ham.quadrature
+    nu0, a, b = perturbation_constants(ham)
     c_bos, d_bos = hbound_constants(grid, quad)
     return TheoryConstants(
         c1=first_order_coefficient(grid, quad),

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import ModelParams
 from .errors import ConfigError, Phi4LabError, SpectralConditionViolated
 from .fock import FockBasis, apply_h0perp_inverse, apply_mode_annihilation, apply_smeared
 from .hamiltonian import HamiltonianSet, field_powers
@@ -642,25 +643,24 @@ def check_state(
     state: SpectralResult,
     kappa: float,
     ham: HamiltonianSet,
-    *,
-    pull_tol: float,
-    lin_tol: float,
-    epsilon: float | None = None,
+    params: ModelParams,
 ) -> tuple[EpsilonFamily, list[CheckOutcome]]:
     """Every check of one computed ground state, as ``solve`` and ``sweep`` run them.
 
-    ``epsilon`` None takes the optimal epsilon (``optimize_epsilon``), a number
-    takes that fixed epsilon; the ``EpsilonFamily`` at the epsilon used comes
-    back with the outcomes.  Outcomes come in report order: pull-through per
-    mode, boson-number bound, vacuum overlap, eigenprojection identities (status
-    "skipped" with the reason when their spectral condition fails).
+    ``params`` gives the pull-through tolerance ``pull_tol``, the CG tolerance
+    ``lin_tol`` and the epsilon policy: "optimized" takes the optimal epsilon
+    (``optimize_epsilon``), "fixed" takes ``epsilon_value``; the
+    ``EpsilonFamily`` at the epsilon used comes back with the outcomes.
+    Outcomes come in report order: pull-through per mode, boson-number bound,
+    vacuum overlap, eigenprojection identities (status "skipped" with the
+    reason when their spectral condition fails).
     """
     grid, quad = ham.grid, ham.quadrature
-    if epsilon is None:
-        fam = optimize_epsilon(kappa, state.e0, grid, quad)
+    if params.epsilon_policy == "fixed":
+        fam = epsilon_family(params.epsilon_value, kappa, state.e0, grid, quad)
     else:
-        fam = epsilon_family(epsilon, kappa, state.e0, grid, quad)
-    outcomes = check_pull_through(state, kappa, ham, tol=pull_tol, lin_tol=lin_tol)
+        fam = optimize_epsilon(kappa, state.e0, grid, quad)
+    outcomes = check_pull_through(state, kappa, ham, tol=params.pull_tol, lin_tol=params.lin_tol)
     outcomes.append(check_number_bound(state, fam, ham))
     outcomes.append(check_overlap(state, ham.basis, c_number=fam.c_number))
     try:
@@ -716,24 +716,16 @@ class SweepReport:
 
 
 def sweep_kappa(
-    ham: HamiltonianSet,
-    consts: TheoryConstants,
-    kappa_list,
-    *,
-    eig_tol: float = 1e-10,
-    lin_tol: float = 1e-12,
-    max_iter: int = 20_000,
-    seed: int = 0,
-    pull_tol: float = 1e-6,
-    epsilon: float | None = None,
+    ham: HamiltonianSet, consts: TheoryConstants, params: ModelParams
 ) -> SweepReport:
-    """Ground state plus the full check row for every coupling in the list.
+    """Ground state plus the full check row for every coupling of ``params.kappa_list``.
 
-    kappa_list must be sorted strictly descending (zero allowed as reference
+    The list must be sorted strictly descending (zero allowed as reference
     point in last position).  A failing row marks the report degraded but
-    does not abort the remaining rows.  ``epsilon`` is as in ``check_state``.
+    does not abort the remaining rows.  The solver settings and the epsilon
+    policy come from ``params``, as in ``check_state``.
     """
-    kappas = [float(k) for k in kappa_list]
+    kappas = [float(k) for k in params.kappa_list]
     if any(k < 0 for k in kappas):
         raise ConfigError("sweep couplings must be nonnegative")
     if any(a <= b for a, b in zip(kappas, kappas[1:])):
@@ -742,19 +734,7 @@ def sweep_kappa(
     failures: list[str] = []
     for kap in kappas:
         try:
-            rows.append(
-                _sweep_row(
-                    ham,
-                    consts,
-                    kap,
-                    eig_tol=eig_tol,
-                    lin_tol=lin_tol,
-                    max_iter=max_iter,
-                    seed=seed,
-                    pull_tol=pull_tol,
-                    epsilon=epsilon,
-                )
-            )
+            rows.append(_sweep_row(ham, consts, kap, params))
         except Phi4LabError as exc:
             failures.append(f"kappa={kap!r}: {exc}")
             rows.append(
@@ -815,24 +795,14 @@ def sweep_kappa(
 
 
 def _sweep_row(
-    ham: HamiltonianSet,
-    consts: TheoryConstants,
-    kap: float,
-    *,
-    eig_tol: float,
-    lin_tol: float,
-    max_iter: int,
-    seed: int,
-    pull_tol: float,
-    epsilon: float | None,
+    ham: HamiltonianSet, consts: TheoryConstants, kap: float, params: ModelParams
 ) -> SweepRow:
     basis = ham.basis
-    state = ground_state(ham.hkappa(kap), basis.dim, tol=eig_tol, max_iter=max_iter, seed=seed)
-    state.kappa = kap
-    state.top_grade_weight = top_grade_weight(basis, state.vector)
-    fam, outcomes = check_state(
-        state, kap, ham, pull_tol=pull_tol, lin_tol=lin_tol, epsilon=epsilon
+    state = ground_state(
+        ham.hkappa(kap), basis.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
     )
+    state.top_grade_weight = top_grade_weight(basis, state.vector)
+    fam, outcomes = check_state(state, kap, ham, params)
     *pt_outcomes, number_outcome, overlap_outcome, arai = outcomes
     extras = {
         "epsilon_star": fam.epsilon,

@@ -43,7 +43,7 @@ from phi4lab import (
     sweep_kappa,
 )
 from phi4lab.cli import main
-from phi4lab.config import build_model, parse_config
+from phi4lab.config import ModelParams, build_model, parse_config
 from phi4lab.fock import OperatorHandle, apply_h0perp_inverse
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.theory import compute_constants
@@ -66,7 +66,7 @@ def record(criterion: str, ok: bool, detail: str) -> bool:
 def reference():
     grid, quad, basis = make_reference(n_max=8)
     ham = HamiltonianSet(basis, grid, quad)
-    consts = compute_constants(basis, grid, quad)
+    consts = compute_constants(ham)
     return grid, quad, basis, ham, consts
 
 
@@ -74,9 +74,8 @@ def reference():
 def reference_sweep(reference):
     grid, quad, basis, ham, consts = reference
     start = time.perf_counter()
-    report = sweep_kappa(
-        ham, consts, KAPPA_SWEEP, eig_tol=1e-10, lin_tol=1e-12, seed=7
-    )
+    params = ModelParams(kappa_list=KAPPA_SWEEP, eig_tol=1e-10, lin_tol=1e-12, seed=7)
+    report = sweep_kappa(ham, consts, params)
     report_elapsed = time.perf_counter() - start
     return report, report_elapsed
 
@@ -87,17 +86,7 @@ def weak_sweep():
     params = parse_config(WEAK_CONFIG)
     grid, quad, basis = build_model(params)
     ham = HamiltonianSet(basis, grid, quad)
-    consts = compute_constants(basis, grid, quad)
-    return sweep_kappa(
-        ham,
-        consts,
-        params.kappa_list,
-        eig_tol=params.eig_tol,
-        lin_tol=params.lin_tol,
-        max_iter=params.max_iter,
-        seed=params.seed,
-        pull_tol=params.pull_tol,
-    )
+    return sweep_kappa(ham, compute_constants(ham), params)
 
 
 def assert_asymptotic_window(report):

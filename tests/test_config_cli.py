@@ -80,6 +80,7 @@ class TestConfigParsing:
             ("coupling.kappa_list", "0.05 0.1", "[coupling] kappa_list"),
             ("quadrature.nodes_per_axis", 0, "[quadrature] nodes_per_axis"),
             ("model.dimension", "two", "[model] dimension"),
+            ("output.dump_vectors", "ture", "[output] dump_vectors"),
         ],
     )
     def test_field_precise_errors(self, tmp_path, dotted, value, needle):
@@ -87,6 +88,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize(
+        "word,value", [("on", True), ("Yes", True), ("1", True), ("off", False), ("0", False)]
+    )
+    def test_dump_vectors_takes_boolean_words(self, tmp_path, word, value):
+        path = write_config(tmp_path, **{"output.dump_vectors": word})
+        assert parse_config(path).dump_vectors is value
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"

@@ -19,7 +19,7 @@ from phi4lab import (
     load_vector,
     save_vector,
 )
-from phi4lab.fock import OperatorHandle, free_energies
+from phi4lab.fock import OperatorHandle
 from phi4lab.hamiltonian import HamiltonianSet
 
 from conftest import make_two_mode
@@ -308,7 +308,7 @@ class TestDiagonals:
     def test_reduced_inverse_examples(self):
         grid = build_grid(1, 2.0, modes=np.array([[0.0]]), weights=np.array([1.0]))
         basis = enumerate_basis(1, 3)
-        esum = free_energies(basis, grid)
+        esum = basis.states @ grid.omega
         assert np.all(apply_h0perp_inverse(esum, basis.vacuum()) == 0.0)
         out = apply_h0perp_inverse(esum, basis.unit((1,)))
         assert out[basis.index_of((1,))] == pytest.approx(0.5)
@@ -351,7 +351,7 @@ class TestHandleContract:
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (np.linalg.norm(lhs) + 1.0)
 
     def test_handle_callable(self):
-        handle = OperatorHandle(apply=lambda v: 2.0 * v, dim=3, descriptor="twice")
+        handle = OperatorHandle(apply=lambda v: 2.0 * v, dim=3)
         assert np.all(handle(np.ones(3)) == 2.0)
 
 

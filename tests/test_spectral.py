@@ -16,7 +16,7 @@ from phi4lab.spectral import BLOCK_STEPS
 
 def diag_handle(values):
     values = np.asarray(values, dtype=float)
-    return OperatorHandle(apply=lambda v: values * v, dim=len(values), descriptor="diag")
+    return OperatorHandle(apply=lambda v: values * v, dim=len(values))
 
 
 class TestGroundState:

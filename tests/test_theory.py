@@ -9,8 +9,8 @@ from oracles import DenseModel, rayleigh_quotient
 from phi4lab import (
     CutoffSpec,
     EpsilonOutOfRange,
+    OperatorHandle,
     TruncationTooSmall,
-    apply_interaction,
     build_grid,
     build_spatial_quadrature,
     enumerate_basis,
@@ -24,6 +24,7 @@ from phi4lab import (
 )
 from phi4lab.config import build_model, parse_config
 from phi4lab.fock import apply_h0perp_inverse
+from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.theory import compute_constants, epsilon_upper_limit, perturbation_constants
 
 from conftest import make_single_mode, make_two_mode
@@ -79,7 +80,7 @@ class TestFirstOrderCoefficient:
 
     def test_matches_matrix_element_two_modes(self):
         grid, quad, basis = make_two_mode(n_max=4, chib=0.9, nodes=7)
-        val = np.vdot(basis.vacuum(), apply_interaction(basis, grid, quad, basis.vacuum()))
+        val = np.vdot(basis.vacuum(), HamiltonianSet(basis, grid, quad).hi(basis.vacuum()))
         assert first_order_coefficient(grid, quad) == pytest.approx(val.real, rel=1e-12)
 
     def test_matches_matrix_element_reference(self, reference_model):
@@ -91,17 +92,18 @@ class TestFirstOrderCoefficient:
 class TestPerturbationConstants:
     def test_zero_cutoff_gives_zeros(self):
         grid, _, basis = make_single_mode(n_max=8)
-        assert perturbation_constants(basis, grid, zero_chi_quad()) == (0.0, 0.0, 0.0)
+        ham = HamiltonianSet(basis, grid, zero_chi_quad())
+        assert perturbation_constants(ham) == (0.0, 0.0, 0.0)
 
     def test_requires_deep_truncation(self):
         grid, quad, _ = make_single_mode(n_max=6)
         basis = enumerate_basis(1, 6)
         with pytest.raises(TruncationTooSmall):
-            perturbation_constants(basis, grid, quad)
+            perturbation_constants(HamiltonianSet(basis, grid, quad))
 
     def test_against_dense_single_mode(self):
         grid, quad, basis = make_single_mode(n_max=12)
-        nu0, a, b = perturbation_constants(basis, grid, quad)
+        nu0, a, b = perturbation_constants(HamiltonianSet(basis, grid, quad))
         dense = DenseModel(grid, quad, 12)
         hi = dense.hi()
         h0 = dense.h0()
@@ -119,7 +121,7 @@ class TestPerturbationConstants:
 
     def test_against_dense_two_modes(self):
         grid, quad, basis = make_two_mode(n_max=8, chib=0.8, nodes=5)
-        nu0, a, b = perturbation_constants(basis, grid, quad)
+        nu0, a, b = perturbation_constants(HamiltonianSet(basis, grid, quad))
         dense = DenseModel(grid, quad, 8)
         hi = dense.hi()
         esum = np.diag(dense.h0()).real
@@ -134,9 +136,19 @@ class TestPerturbationConstants:
         assert b == pytest.approx(float(np.vdot(r, hi @ r).real), rel=1e-10)
 
     def test_positive_quadratic_forms(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        nu0, a, b = perturbation_constants(basis, grid, quad)
+        _, _, _, ham = reference_model
+        nu0, a, b = perturbation_constants(ham)
         assert nu0 >= 0 and a >= 0 and b >= 0
+
+    def test_applies_the_model_interaction_twice(self, reference_model):
+        # w = HI vac and <r, HI r>, both through the set's own HI handle
+        grid, quad, basis, ham = reference_model
+        counted = HamiltonianSet(basis, grid, quad)
+        calls = []
+        hi = counted.hi
+        counted.hi = OperatorHandle(apply=lambda v: calls.append(1) or hi(v), dim=basis.dim)
+        assert perturbation_constants(counted) == perturbation_constants(ham)
+        assert len(calls) == 2
 
     def test_invariant_under_mode_permutation(self):
         quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), 5)
@@ -151,34 +163,34 @@ class TestPerturbationConstants:
                 weights=np.array([weights[i] for i in perm]),
             )
             basis = enumerate_basis(3, 8)
-            vals.append(perturbation_constants(basis, grid, quad))
+            vals.append(perturbation_constants(HamiltonianSet(basis, grid, quad)))
         assert vals[0] == vals[1] == vals[2]
 
 
 class TestUpperBounds:
     def test_zero_coupling(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        consts = compute_constants(basis, grid, quad)
+        _, _, _, ham = reference_model
+        consts = compute_constants(ham)
         assert series_upper_bound(0.0, consts) == 0.0
         assert rayleigh_upper_bound(0.0, consts) == 0.0
 
     def test_series_leading_term(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        consts = compute_constants(basis, grid, quad)
+        _, _, _, ham = reference_model
+        consts = compute_constants(ham)
         kappa = 1e-9
         lead = kappa * consts.c1 / (1.0 + consts.nu0)
         assert series_upper_bound(kappa, consts) == pytest.approx(lead, rel=1e-6)
 
     def test_series_golden_regression(self, reference_model):
-        grid, quad, basis, _ = reference_model
-        consts = compute_constants(basis, grid, quad)
+        _, _, _, ham = reference_model
+        consts = compute_constants(ham)
         assert series_upper_bound(0.1, consts) == pytest.approx(
             GOLDEN_SERIES_BOUND_AT_0P1, rel=1e-13
         )
 
     def test_rayleigh_equals_direct_quotient(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
+        consts = compute_constants(ham)
         w = ham.hi(basis.vacuum())
         r = apply_h0perp_inverse(ham.esum, w)
         for kappa in (0.01, 0.05, 0.1):
@@ -188,7 +200,7 @@ class TestUpperBounds:
 
     def test_rayleigh_is_true_upper_bound(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
+        consts = compute_constants(ham)
         for kappa in (0.01, 0.05, 0.1):
             e0 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=8).e0
             assert e0 <= rayleigh_upper_bound(kappa, consts) + 1e-10

@@ -86,7 +86,7 @@ def test_variational_bound_in_two_dimensions():
     quad = build_spatial_quadrature(2, CutoffSpec("indicator", (1.0,)), 3)
     basis = enumerate_basis(grid.num_modes, 8)
     ham = HamiltonianSet(basis, grid, quad)
-    consts = compute_constants(basis, grid, quad)
+    consts = compute_constants(ham)
     kappa = 0.02
     e0 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=4).e0
     assert 0.0 <= e0 <= kappa * consts.c1

@@ -1,12 +1,13 @@
-"""Stale-import guard: no package module imports a name it never uses.
+"""Stale-import guard: no package or test module imports a name it never uses.
 
-``__init__`` is exempt, since its imports are the public re-exports.
+The package ``__init__`` is exempt, since its imports are the public re-exports.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phi4lab"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "phi4lab"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,9 +33,11 @@ def test_guard_flags_an_unused_name():
 
 
 def test_no_module_imports_a_name_it_never_uses():
+    modules = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
     stale = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
+        f"{path.parent.name}/{path.name}": names
+        for path in modules
+        if (names := unused_imports(path.read_text()))
     }
     assert stale == {}

@@ -30,6 +30,7 @@ from phi4lab import (
     sweep_kappa,
 )
 from phi4lab import verify
+from phi4lab.config import ModelParams
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.spectral import SpectralResult
 from phi4lab.theory import compute_constants
@@ -349,7 +350,7 @@ class TestCheckState:
         grid, quad, basis, ham = reference_model
         kappa = 0.2  # ground energy exceeds min omega = 1 here
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=19)
-        fam, outcomes = check_state(state, kappa, ham, pull_tol=1e-6, lin_tol=1e-12)
+        fam, outcomes = check_state(state, kappa, ham, ModelParams())
         assert fam == optimize_epsilon(kappa, state.e0, grid, quad)
         assert [o.name for o in outcomes] == [
             f"pull-through[mode {i}]" for i in range(basis.num_modes)
@@ -363,9 +364,8 @@ class TestCheckState:
             e0=0.5, vector=basis.unit((0, 1, 0)), residual=0.0,
             iterations=0, restarts=0, gap_estimate=1.0,
         )
-        fam, outcomes = check_state(
-            state, 0.05, ham, pull_tol=1e-6, lin_tol=1e-12, epsilon=1e-3
-        )
+        params = ModelParams(epsilon_policy="fixed", epsilon_value=1e-3)
+        fam, outcomes = check_state(state, 0.05, ham, params)
         assert fam == epsilon_family(1e-3, 0.05, 0.5, grid, quad)
         number = outcomes[-3]
         assert number.context["epsilon"] == 1e-3 and number.threshold == fam.c_number
@@ -376,8 +376,8 @@ class TestCheckState:
 class TestSweep:
     def test_single_zero_row(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
-        report = sweep_kappa(ham, consts, [0.0], seed=20)
+        consts = compute_constants(ham)
+        report = sweep_kappa(ham, consts, ModelParams(kappa_list=(0.0,), seed=20))
         assert len(report.rows) == 1
         row = report.rows[0]
         assert row.e0 == pytest.approx(0.0, abs=1e-10)
@@ -387,19 +387,30 @@ class TestSweep:
 
     def test_rejects_unsorted_list(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
+        consts = compute_constants(ham)
         with pytest.raises(ConfigError):
-            sweep_kappa(ham, consts, [0.1, 0.2])
+            sweep_kappa(ham, consts, ModelParams(kappa_list=(0.1, 0.2)))
         with pytest.raises(ConfigError):
-            sweep_kappa(ham, consts, [-0.1])
+            sweep_kappa(ham, consts, ModelParams(kappa_list=(-0.1,)))
+
+    def test_fixed_epsilon_policy_reaches_every_row(self, reference_model):
+        grid, quad, basis, ham = reference_model
+        params = ModelParams(
+            kappa_list=(0.05, 0.025), seed=25, epsilon_policy="fixed", epsilon_value=1e-3
+        )
+        report = sweep_kappa(ham, compute_constants(ham), params)
+        assert len(report.rows) == 2
+        for row in report.rows:
+            assert not row.failed
+            assert row.extras["epsilon_star"] == 1e-3
+            fam = epsilon_family(1e-3, row.kappa, row.e0, grid, quad)
+            assert row.c_eps_kappa == fam.c_number
 
     def test_rows_match_dense_energies(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
-        kappas = [0.1, 0.05, 0.025]
-        report = sweep_kappa(
-            ham, consts, kappas, eig_tol=1e-11, seed=21
-        )
+        consts = compute_constants(ham)
+        kappas = (0.1, 0.05, 0.025)
+        report = sweep_kappa(ham, consts, ModelParams(kappa_list=kappas, eig_tol=1e-11, seed=21))
         dense = DenseModel(grid, quad, basis.n_max)
         for row, kappa in zip(report.rows, kappas):
             e_dense, _, _ = dense.ground(kappa)
@@ -409,9 +420,10 @@ class TestSweep:
 
     def test_sweep_deterministic(self, reference_model):
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
-        r1 = sweep_kappa(ham, consts, [0.05, 0.025], seed=22)
-        r2 = sweep_kappa(ham, consts, [0.05, 0.025], seed=22)
+        consts = compute_constants(ham)
+        params = ModelParams(kappa_list=(0.05, 0.025), seed=22)
+        r1 = sweep_kappa(ham, consts, params)
+        r2 = sweep_kappa(ham, consts, params)
         for a, b in zip(r1.rows, r2.rows):
             assert a.e0 == b.e0
             assert a.n_expect == b.n_expect
@@ -421,21 +433,17 @@ class TestSweep:
         # the absolute ratio e/kappa ~ a*kappa dips below 1e-2 only once
         # kappa < 1e-2 / a ~ 1.2e-5 on this grid
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
-        kappas = [1e-5 * 0.5**i for i in range(3)]
-        report = sweep_kappa(
-            ham, consts, kappas, eig_tol=1e-13, seed=24
-        )
+        consts = compute_constants(ham)
+        kappas = tuple(1e-5 * 0.5**i for i in range(3))
+        report = sweep_kappa(ham, consts, ModelParams(kappa_list=kappas, eig_tol=1e-13, seed=24))
         assert report.rows[-1].e_over_kappa < 1e-2
 
     def test_weak_coupling_sweep_confirms_first_order_expansion(self, reference_model):
         # in the asymptotic window the expansion verdicts all hold
         grid, quad, basis, ham = reference_model
-        consts = compute_constants(basis, grid, quad)
-        kappas = [0.002 * 0.5**i for i in range(7)]
-        report = sweep_kappa(
-            ham, consts, kappas, eig_tol=1e-12, seed=23
-        )
+        consts = compute_constants(ham)
+        kappas = tuple(0.002 * 0.5**i for i in range(7))
+        report = sweep_kappa(ham, consts, ModelParams(kappa_list=kappas, eig_tol=1e-12, seed=23))
         assert report.tail_ratios_decreasing
         assert report.ratio_final_over_first < 0.10
         assert report.fit_within_factor3, report.fit_over_a
