@@ -106,13 +106,15 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     basis = ham.basis
     consts = compute_constants(ham)
     kappa = _solve_kappa(params)
+    even = ham.even
     state = ground_state(
-        ham.hkappa(kappa), basis.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
+        even.hkappa(kappa), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
     )
+    state.vector = even.embed(state.vector)
     state.top_grade_weight = top_grade_weight(basis, state.vector)
     print(
         f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
-        f"{state.iterations} matvecs, {state.restarts} restarts, gap {state.gap_estimate:.3e})"
+        f"{state.iterations} matvecs, {state.restarts} restarts, even-sector gap {state.gap_estimate:.3e})"
     )
     fam, outcomes = check_state(state, kappa, ham, params)
     outcomes += _identity_outcomes(params, ham, kappa, fam.epsilon, state=state)

@@ -155,7 +155,7 @@ def render_text(doc: dict) -> str:
         gs = doc["ground_state"]
         lines.append(
             f"  e0 = {gs['e0']!r}  residual = {gs['residual']:.3e}  "
-            f"iterations = {gs['iterations']}  gap = {gs['gap_estimate']:.3e}"
+            f"iterations = {gs['iterations']}  even-sector gap = {gs['gap_estimate']:.3e}"
         )
     if "constants" in doc:
         consts = doc["constants"]

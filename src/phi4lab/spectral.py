@@ -33,9 +33,12 @@ class SpectralResult:
     ``gap_estimate`` is the difference of the two lowest Ritz values of the
     last block.  Every restart keeps the second Ritz vector, which converges
     to the first excited state alongside the ground state, so this is the
-    spectral gap e1 - e0 (on the reference model it matches dense
-    diagonalization to about 1e-12).  By Cauchy interlacing it can only lie
-    above the gap while the second Ritz pair is still converging.
+    spectral gap e1 - e0 of the handle (on the reference model it matches
+    dense diagonalization to about 1e-12).  By Cauchy interlacing it can only
+    lie above the gap while the second Ritz pair is still converging.
+    ``solve`` and ``sweep`` solve the even sector ``ham.even``, so their gap
+    is the one within it: 3.606 on the ``deep-solve`` benchmark model, where
+    the lowest excited state is odd and 1.745 above e0.
     """
 
     e0: float
