@@ -49,19 +49,22 @@ class LadderTable(NamedTuple):
     One entry per occupied mode of every state, sorted by ``dst``, so entries
     ``dst_ptr[s]:dst_ptr[s + 1]`` land on state s.  Read backwards they are
     the truncated creation amplitudes, a_mode^+ |dst> = amp |src>; creation
-    out of the top grade has no entry.  ``segal_ptr`` and ``segal_cols`` are
-    the CSR structure of a(f) + a^+(f); ``segal_pos[0]`` and ``segal_pos[1]``
-    place each entry's annihilation and creation amplitude in its data.
+    out of the top grade has no entry.  ``take`` indexes each entry in an
+    (M, n_max) table, at row ``mode`` and column n - 1, where n is the
+    occupation ``src`` has in it (amp = sqrt(n)).  ``segal_ptr`` and
+    ``segal_cols`` are the CSR structure of a(f) + a^+(f); in its data order,
+    ``segal_take`` indexes a (2M, n_max) table, annihilation rows first.
     """
 
     src: np.ndarray
     dst: np.ndarray
     amp: np.ndarray
     mode: np.ndarray
+    take: np.ndarray
     dst_ptr: np.ndarray
     segal_ptr: np.ndarray
     segal_cols: np.ndarray
-    segal_pos: np.ndarray
+    segal_take: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,8 @@ class FockBasis:
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
-    # (key, matrix) of the last smearing apply_smeared built on this basis
-    _smeared: tuple = field(init=False, repr=False, compare=False)
+    # (which, dtype) -> (scaled smearing its data holds, matrix): apply_smeared's slots
+    _smeared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = []
@@ -87,7 +90,7 @@ class FockBasis:
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "ladders", self._ladder_table())
-        object.__setattr__(self, "_smeared", (None, None))
+        object.__setattr__(self, "_smeared", {})
 
     @property
     def dim(self) -> int:
@@ -145,22 +148,28 @@ class FockBasis:
         order = np.argsort(dst, kind="stable")
         src, dst, mode = src[order], dst[order], mode[order]
         dst_ptr = np.searchsorted(dst, np.arange(self.dim + 1))
-        # merged Segal row s: the a^+ entries of the ladder entries with src s
-        # (np.nonzero order), then the a entries of those with dst s
-        pos = np.stack([np.arange(len(src)) + src_ptr[dst + 1], dst_ptr[src] + order])
-        cols = np.empty(2 * len(src), dtype=np.int32)
-        cols[pos[0]], cols[pos[1]] = src, dst
+        level = self.states[src, mode]
+        take = mode * self.n_max + level - 1
         # int32 indices: dim is capped far below 2**31, and scipy.sparse
         # would otherwise scan and downcast them on every matrix it builds
+        src, dst = src.astype(np.int32), dst.astype(np.int32)
+        # merged Segal row s: the a^+ entries of the ladder entries with src s
+        # (np.nonzero order), then the a entries of those with dst s; pos[0]
+        # and pos[1] place each entry's a and a^+ amplitude in the data
+        pos = (np.arange(len(src)) + src_ptr[dst + 1], dst_ptr[src] + order)
+        cols, segal_take = np.empty(2 * len(src), np.int32), np.empty(2 * len(src), np.intp)
+        cols[pos[0]], cols[pos[1]] = src, dst
+        segal_take[pos[0]], segal_take[pos[1]] = take, take + self.num_modes * self.n_max
         return LadderTable(
-            src=src.astype(np.int32),
-            dst=dst.astype(np.int32),
-            amp=np.sqrt(self.states[src, mode].astype(float)),
+            src=src,
+            dst=dst,
+            amp=np.sqrt(level.astype(float)),
             mode=mode,
+            take=take,
             dst_ptr=dst_ptr.astype(np.int32),
             segal_ptr=(dst_ptr + src_ptr).astype(np.int32),
             segal_cols=cols,
-            segal_pos=pos.astype(np.int32),
+            segal_take=segal_take,
         )
 
 
@@ -204,12 +213,15 @@ def apply_smeared(
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
     ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
-    them, acted on row by row.  Each action is one sparse matrix built from
-    the ladder table (CSR, CSC, and for the Segal field one merged CSR); the
-    basis keeps the matrix of the last smearing, keyed by ``which`` and the
-    bytes of ``f`` and of the weights, the only inputs it depends on.  A
-    smearing with no imaginary part, like the field at the origin, gives a
-    float64 matrix: one real product on the float64 view of the block.
+    them, acted on row by row.  Each action is one sparse matrix (CSR, CSC,
+    and for the Segal field one merged CSR), built on first use from the
+    ladder table and kept on the basis, one per action and dtype.  A matrix
+    records the scaled smearing ``sqrt(w) f`` (over sqrt 2 for the Segal
+    field) its data holds, and a call with another one refills the data in
+    place: one gather, in data order, from the table of each mode's value
+    times sqrt(n), n = 1..n_max (see ``LadderTable``).  A smearing with no
+    imaginary part, like the field at the origin, uses the float64 matrix:
+    one real product on the float64 view of the block.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -218,22 +230,22 @@ def apply_smeared(
         raise ConfigError("smearing function is not finite at every mode")
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
-    key = (which, f.tobytes(), grid.weights.tobytes())
-    if key != basis._smeared[0]:
-        object.__setattr__(basis, "_smeared", (None, None))  # free the old matrix first
-        t, shape = basis.ladders, (basis.dim, basis.dim)
-        scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0) * f
-        vals = (scaled if scaled.imag.any() else scaled.real)[t.mode] * t.amp
-        if which == "annihilate":
-            op = scipy.sparse.csr_matrix((vals.conj(), t.src, t.dst_ptr), shape=shape)
-        elif which == "create":
-            op = scipy.sparse.csc_matrix((vals, t.src, t.dst_ptr), shape=shape)
-        else:
-            data = np.empty(2 * len(vals), dtype=vals.dtype)
-            data[t.segal_pos[0]], data[t.segal_pos[1]] = vals.conj(), vals
-            op = scipy.sparse.csr_matrix((data, t.segal_cols, t.segal_ptr), shape=shape)
-        object.__setattr__(basis, "_smeared", (key, op))
-    op = basis._smeared[1]
+    t, segal = basis.ladders, which == "segal"
+    scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if segal else 1.0) * f
+    scaled = scaled if scaled.imag.any() else scaled.real
+    held, op = basis._smeared.get((which, scaled.dtype), (None, None))
+    if op is None:
+        kind = scipy.sparse.csc_matrix if which == "create" else scipy.sparse.csr_matrix
+        structure = (t.segal_cols, t.segal_ptr) if segal else (t.src, t.dst_ptr)
+        data = np.empty(len(structure[0]), scaled.dtype)
+        op = kind((data, *structure), shape=(basis.dim, basis.dim))
+    if held is None or not np.array_equal(held, scaled):
+        rows = [scaled.conj(), scaled] if segal else [scaled.conj() if which == "annihilate" else scaled]
+        roots = np.sqrt(np.arange(1.0, basis.n_max + 1))
+        table = np.multiply.outer(np.concatenate(rows), roots)
+        # clip never applies (the indices are in range) but lets take write out= unbuffered
+        np.take(table, t.segal_take if segal else t.take, out=op.data, mode="clip")
+        basis._smeared[which, scaled.dtype] = (scaled, op)
     block = np.ascontiguousarray(np.asarray(v, dtype=complex).T)
     out = op @ block.reshape(basis.dim, -1).view(op.dtype)
     return out.view(complex).reshape(block.shape).T

@@ -194,7 +194,10 @@ class TestSmeared:
         origin = self.grid.smearing_at(np.zeros(self.grid.dimension))
         for f, dtype in ((origin, np.float64), (origin + 0.5j, np.complex128)):
             apply_smeared(self.basis, self.grid, f, self.basis.vacuum(), "segal")
-            assert self.basis._smeared[1].dtype == dtype
+            assert self.basis._smeared["segal", np.dtype(dtype)][1].dtype == dtype
+        # separate slots: the complex smearing left the real matrix in place
+        held, _ = self.basis._smeared["segal", np.dtype(np.float64)]
+        assert np.array_equal(held, np.sqrt(self.grid.weights) / math.sqrt(2.0) * origin.real)
 
     @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
     def test_block_rows_equal_single_vector_calls(self, which):
@@ -215,10 +218,11 @@ class TestSmeared:
 
 
 class TestSmearedMemo:
-    """apply_smeared keeps the matrix of the last smearing on the basis.
+    """apply_smeared keeps one matrix per action and dtype on the basis.
 
-    Every call must equal, bit for bit, the same call on a freshly
-    enumerated basis, whose memo is empty.
+    Each records the scaled smearing its data holds and is refilled in place
+    when a call brings another.  Every call must equal, bit for bit, the same
+    call on a freshly enumerated basis, whose slots are empty.
     """
 
     def setup_method(self):
@@ -232,10 +236,14 @@ class TestSmearedMemo:
         out = apply_smeared(self.basis, grid, f, self.v, which)
         fresh = enumerate_basis(self.basis.num_modes, self.basis.n_max)
         assert np.array_equal(out, apply_smeared(fresh, grid, f, self.v, which))
-        # one operator held, for every action: the matrix of this call's smearing
-        key, op = self.basis._smeared
-        assert key[0] == which
+        # the slot of this action holds this call's smearing, and the data a
+        # freshly built matrix has
+        slot = (which, np.dtype(complex))
+        held, op = self.basis._smeared[slot]
+        scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
+        assert np.array_equal(held, scale * f)
         assert scipy.sparse.issparse(op)
+        assert np.array_equal(op.data, fresh._smeared[slot][1].data)
         return out
 
     @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
@@ -246,6 +254,7 @@ class TestSmearedMemo:
     def test_switching_action_for_one_smearing(self):
         for which in ("annihilate", "create", "segal", "segal", "annihilate", "create"):
             self.check(self.f, which)
+        assert sorted(key[0] for key in self.basis._smeared) == ["annihilate", "create", "segal"]
 
     def test_smearing_mutated_in_place(self):
         f = self.f.copy()
@@ -269,6 +278,14 @@ class TestSmearedMemo:
         with pytest.raises(ConfigError):
             apply_smeared(self.basis, self.grid, self.f, self.v, "field")
         self.check(self.f, "segal")
+
+    @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
+    def test_refill_leaves_earlier_results_unchanged(self, which):
+        for f, g in ((self.f, self.g), (self.f.real, self.g.real)):  # complex128 and float64
+            out = apply_smeared(self.basis, self.grid, f, self.v, which)
+            kept = out.copy()
+            apply_smeared(self.basis, self.grid, g, self.v, which)
+            assert np.array_equal(out, kept)
 
 
 class TestDiagonals:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from oracles import DenseModel
 
@@ -123,6 +124,36 @@ class TestIdentitySuite:
             weak = check_weak_commutator(ham, 0.25, count=23, seed=5)
             results.append((double.measured, double.context, weak.measured))
         assert results[1] == results[0] and results[2] == results[0]
+
+    def test_suite_builds_each_ladder_matrix_once(self, monkeypatch):
+        # machine-independent work: every smeared action after the first of its
+        # kind refills a matrix in place, so the five identity checks build at
+        # most one per action and dtype (3 x 2), however many smearings they draw
+        grid, quad, basis = make_reference(n_max=6)
+        ham = HamiltonianSet(basis, grid, quad)
+        built = []
+        for name in ("csr_matrix", "csc_matrix"):
+            kind = getattr(scipy.sparse, name)
+            monkeypatch.setattr(
+                scipy.sparse, name, lambda *a, kind=kind, **k: built.append(kind) or kind(*a, **k)
+            )
+        v = np.random.default_rng(8).standard_normal(basis.dim) + 0j
+        before = ham.hi(v)
+        hi_slot = basis._smeared["segal", np.dtype(np.float64)]
+        rng = np.random.default_rng(9)
+        f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        outcomes = [
+            check_ccr(ham, count=10, seed=1),
+            check_free_commutators(ham, count=10, seed=2),
+            check_ladder_bounds(ham, count=10, seed=3),
+            check_double_commutator(f, ham, count=10, seed=4),
+            check_weak_commutator(ham, 0.25, count=10, seed=5),
+        ]
+        assert all(o.passed for o in outcomes)
+        assert 0 < len(built) == len(basis._smeared) <= 6
+        # the complex smearings of the suite leave H's real field matrix alone
+        assert np.array_equal(ham.hi(v), before)
+        assert basis._smeared["segal", np.dtype(np.float64)] is hi_slot
 
 
 class TestInequalitySuite:
