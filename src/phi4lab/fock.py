@@ -34,15 +34,6 @@ _VEC_VERSION = 1
 _ORDER_TAG = b"graded-lex-v1\x00\x00\x00"  # 16 bytes
 
 
-def _occupations(num_modes: int, total: int):
-    if num_modes == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _occupations(num_modes - 1, total - head):
-            yield (head, *tail)
-
-
 class LadderTable(NamedTuple):
     """Every nonzero annihilation amplitude: a_mode |src> = amp |dst>.
 
@@ -76,16 +67,22 @@ class FockBasis:
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
-    # (which, dtype) -> (scaled smearing its data holds, matrix): apply_smeared's slots
+    # ("annihilate" | "segal", dtype) -> (scaled smearing its data holds, CSR,
+    # its transpose): apply_smeared's slots, creation served by the annihilation one
     _smeared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = []
-        for total in range(self.n_max + 1):
-            states.extend(_occupations(self.num_modes, total))
-        arr = np.array(states, dtype=np.int32).reshape(len(states), self.num_modes)
+        # lexicographic rows of every grade at once: each row with r quanta
+        # left gets the next mode's 0..r appended, then a stable sort by grade
+        arr, grades = np.arange(self.n_max + 1, dtype=np.int32)[:, None], np.arange(self.n_max + 1)
+        for _ in range(self.num_modes - 1):
+            counts = self.n_max + 1 - grades
+            tail = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            arr = np.column_stack([np.repeat(arr, counts, axis=0), tail.astype(np.int32)])
+            grades = np.repeat(grades, counts) + tail
+        order = np.argsort(grades, kind="stable")
+        arr, grades = arr[order], grades[order]
         arr.setflags(write=False)
-        grades = arr.sum(axis=1)
         grades.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
@@ -136,7 +133,7 @@ class FockBasis:
         return v
 
     def interior_mask(self, reach: int) -> np.ndarray:
-        """Boolean mask of states in grades <= n_max - reach."""
+        """Boolean mask of states in grades <= n_max - reach: a prefix, as grades ascend."""
         return self.grades <= self.n_max - reach
 
     def _ladder_table(self) -> LadderTable:
@@ -213,15 +210,16 @@ def apply_smeared(
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
     ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
-    them, acted on row by row.  Each action is one sparse matrix (CSR, CSC,
-    and for the Segal field one merged CSR), built on first use from the
-    ladder table and kept on the basis, one per action and dtype.  A matrix
-    records the scaled smearing ``sqrt(w) f`` (over sqrt 2 for the Segal
-    field) its data holds, and a call with another one refills the data in
-    place: one gather, in data order, from the table of each mode's value
-    times sqrt(n), n = 1..n_max (see ``LadderTable``).  A smearing with no
-    imaginary part, like the field at the origin, uses the float64 matrix:
-    one real product on the float64 view of the block.
+    them, acted on row by row.  The basis keeps one annihilation CSR ``A(f)``
+    and one merged Segal CSR per dtype, at most four, built on first use from
+    the ladder table.  Creation is the adjoint, ``a^+(f) v = conj(A(f)^T
+    conj(v))``, through the CSC transpose kept beside ``A(f)``, which shares
+    its data.  A matrix records the scaled smearing ``sqrt(w) f`` (over
+    sqrt 2 for the Segal field) its data holds, and a call with another one
+    refills the data in place: one gather, in data order, from the table of
+    each mode's value times sqrt(n), n = 1..n_max (see ``LadderTable``).  A
+    smearing with no imaginary part, like the field at the origin, uses the
+    float64 matrix: one real product on the float64 view of the block.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -233,22 +231,26 @@ def apply_smeared(
     t, segal = basis.ladders, which == "segal"
     scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if segal else 1.0) * f
     scaled = scaled if scaled.imag.any() else scaled.real
-    held, op = basis._smeared.get((which, scaled.dtype), (None, None))
+    slot = ("segal" if segal else "annihilate", scaled.dtype)
+    held, op, op_t = basis._smeared.get(slot, (None, None, None))
     if op is None:
-        kind = scipy.sparse.csc_matrix if which == "create" else scipy.sparse.csr_matrix
         structure = (t.segal_cols, t.segal_ptr) if segal else (t.src, t.dst_ptr)
         data = np.empty(len(structure[0]), scaled.dtype)
-        op = kind((data, *structure), shape=(basis.dim, basis.dim))
+        op = scipy.sparse.csr_matrix((data, *structure), shape=(basis.dim, basis.dim))
+        op_t = op.T  # a CSC sharing op.data, so a refill updates both
     if held is None or not np.array_equal(held, scaled):
-        rows = [scaled.conj(), scaled] if segal else [scaled.conj() if which == "annihilate" else scaled]
+        rows = [scaled.conj(), scaled] if segal else [scaled.conj()]
         roots = np.sqrt(np.arange(1.0, basis.n_max + 1))
         table = np.multiply.outer(np.concatenate(rows), roots)
         # clip never applies (the indices are in range) but lets take write out= unbuffered
         np.take(table, t.segal_take if segal else t.take, out=op.data, mode="clip")
-        basis._smeared[which, scaled.dtype] = (scaled, op)
-    block = np.ascontiguousarray(np.asarray(v, dtype=complex).T)
-    out = op @ block.reshape(basis.dim, -1).view(op.dtype)
-    return out.view(complex).reshape(block.shape).T
+        basis._smeared[slot] = (scaled, op, op_t)
+    create = which == "create"  # a+(f) v = conj(A(f)^T conj(v)), A(f) the annihilation matrix
+    block = np.asarray(v, dtype=complex).T
+    block = np.conjugate(block, order="C") if create else np.ascontiguousarray(block)
+    out = (op_t if create else op) @ block.reshape(basis.dim, -1).view(op.dtype)
+    out = out.view(complex).reshape(block.shape).T
+    return np.conjugate(out, out=out) if create else out
 
 
 def apply_h0perp_inverse(esum: np.ndarray, v: np.ndarray, shift: float = 0.0) -> np.ndarray:

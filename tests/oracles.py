@@ -13,10 +13,13 @@ import numpy as np
 
 
 def enumerate_states(num_modes, n_max):
+    """Occupation tuples of total <= n_max, sorted by (total, tuple).
+
+    A tuple of total t is a multiset of t mode labels, counted mode by mode."""
     states = [
-        s
-        for s in itertools.product(range(n_max + 1), repeat=num_modes)
-        if sum(s) <= n_max
+        tuple(labels.count(i) for i in range(num_modes))
+        for total in range(n_max + 1)
+        for labels in itertools.combinations_with_replacement(range(num_modes), total)
     ]
     states.sort(key=lambda s: (sum(s), s))
     return states

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import enumerate_states, handle_matrix, ladder_matrices
@@ -55,9 +55,28 @@ class TestEnumeration:
     def test_dimension_is_binomial(self, m, n):
         assert enumerate_basis(m, n).dim == math.comb(m + n, m)
 
-    def test_order_matches_independent_enumeration(self):
-        basis = enumerate_basis(3, 5)
-        assert [tuple(s) for s in basis.states] == enumerate_states(3, 5)
+    @given(m=st.integers(1, 9), n=st.integers(0, 12))
+    @example(m=9, n=6)  # the verify-wide basis, dim 5,005
+    @example(m=1, n=0)
+    @example(m=4, n=0)
+    @settings(max_examples=40, deadline=None)
+    def test_order_matches_independent_enumeration(self, m, n):
+        assume(math.comb(m + n, m) <= 5005)
+        basis = enumerate_basis(m, n)
+        assert basis.states.tolist() == [list(s) for s in enumerate_states(m, n)]
+        assert basis.states.dtype == np.int32
+        assert basis.states.flags.c_contiguous and not basis.states.flags.writeable
+        assert np.array_equal(basis.grades, basis.states.sum(axis=1))
+        assert not basis.grades.flags.writeable
+
+    @given(m=st.integers(1, 5), n=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_interior_is_a_prefix(self, m, n):
+        basis = enumerate_basis(m, n)
+        for reach in range(n + 2):
+            mask = basis.interior_mask(reach)
+            end = np.count_nonzero(mask)
+            assert mask[:end].all() and end == math.comb(m + max(n - reach, -1), m)
 
     def test_index_bijection(self):
         basis = enumerate_basis(2, 3)
@@ -196,7 +215,7 @@ class TestSmeared:
             apply_smeared(self.basis, self.grid, f, self.basis.vacuum(), "segal")
             assert self.basis._smeared["segal", np.dtype(dtype)][1].dtype == dtype
         # separate slots: the complex smearing left the real matrix in place
-        held, _ = self.basis._smeared["segal", np.dtype(np.float64)]
+        held = self.basis._smeared["segal", np.dtype(np.float64)][0]
         assert np.array_equal(held, np.sqrt(self.grid.weights) / math.sqrt(2.0) * origin.real)
 
     @pytest.mark.parametrize("which", ["annihilate", "create", "segal"])
@@ -236,13 +255,15 @@ class TestSmearedMemo:
         out = apply_smeared(self.basis, grid, f, self.v, which)
         fresh = enumerate_basis(self.basis.num_modes, self.basis.n_max)
         assert np.array_equal(out, apply_smeared(fresh, grid, f, self.v, which))
-        # the slot of this action holds this call's smearing, and the data a
-        # freshly built matrix has
-        slot = (which, np.dtype(complex))
-        held, op = self.basis._smeared[slot]
+        # the slot of this action (creation shares annihilation's) holds this
+        # call's smearing, and the data a freshly built matrix has; the
+        # transpose kept beside the matrix reads the same data
+        slot = ("segal" if which == "segal" else "annihilate", np.dtype(complex))
+        held, op, op_t = self.basis._smeared[slot]
         scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
         assert np.array_equal(held, scale * f)
         assert scipy.sparse.issparse(op)
+        assert np.shares_memory(op.data, op_t.data)
         assert np.array_equal(op.data, fresh._smeared[slot][1].data)
         return out
 
@@ -254,7 +275,12 @@ class TestSmearedMemo:
     def test_switching_action_for_one_smearing(self):
         for which in ("annihilate", "create", "segal", "segal", "annihilate", "create"):
             self.check(self.f, which)
-        assert sorted(key[0] for key in self.basis._smeared) == ["annihilate", "create", "segal"]
+        assert sorted(key[0] for key in self.basis._smeared) == ["annihilate", "segal"]
+        # one refill serves a(g) and a+(g): creation leaves the slot a(g) filled as it was
+        self.check(self.g, "annihilate")
+        filled = self.basis._smeared["annihilate", np.dtype(complex)]
+        self.check(self.g, "create")
+        assert self.basis._smeared["annihilate", np.dtype(complex)] is filled
 
     def test_smearing_mutated_in_place(self):
         f = self.f.copy()

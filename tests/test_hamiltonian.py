@@ -236,9 +236,10 @@ class TestMatvecCost:
         for _ in range(9):
             v = hk(v / np.linalg.norm(v))
         assert built == []
-        # the counter does see a build: a new smearing makes one matrix
+        # the counter does see a build: a new smearing makes one matrix, the
+        # annihilation CSR whose transpose applies creation
         apply_smeared(basis, grid, grid.smearing_at(np.array([0.3])), v, "create")
-        assert built == ["csc_matrix"]
+        assert built == ["csr_matrix"]
 
 
 class TestWeakCommutator:

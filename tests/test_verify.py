@@ -9,8 +9,12 @@ from oracles import DenseModel
 
 from phi4lab import (
     ConfigError,
+    CutoffSpec,
     EpsilonOutOfRange,
     SpectralConditionViolated,
+    apply_smeared,
+    build_grid,
+    build_spatial_quadrature,
     check_arai_identities,
     check_ccr,
     check_double_commutator,
@@ -24,6 +28,7 @@ from phi4lab import (
     check_state,
     check_weak_commutator,
     draw_interior_vectors,
+    enumerate_basis,
     epsilon_family,
     ground_state,
     hbound_constants,
@@ -45,10 +50,53 @@ def deep_reference():
     return grid, quad, basis, HamiltonianSet(basis, grid, quad)
 
 
+def make_planar():
+    grid = build_grid(2, 1.0, CutoffSpec("indicator", (10.0,)), kmax=1.0, modes_per_axis=2)
+    quad = build_spatial_quadrature(2, CutoffSpec("indicator", (1.0,)), 3)
+    basis = enumerate_basis(grid.num_modes, 4)
+    return HamiltonianSet(basis, grid, quad)
+
+
+def ccr_one_call_per_product(ham, count, seed):
+    """check_ccr's measure with each of its twelve ladder products a single-vector call."""
+    basis, grid = ham.basis, ham.grid
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for v in draw_interior_vectors(basis, 2, count, seed + 1):
+        f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
+        g = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
+        pairing = np.sum(grid.weights * np.conj(f) * g)
+
+        def a(fn, u):
+            return apply_smeared(basis, grid, fn, u, "annihilate")
+
+        def c(fn, u):
+            return apply_smeared(basis, grid, fn, u, "create")
+
+        mixed = a(f, c(g, v)) - c(g, a(f, v)) - pairing * v
+        same_a = a(f, a(g, v)) - a(g, a(f, v))
+        same_c = c(f, c(g, v)) - c(g, c(f, v))
+        scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
+        worst = max(worst, *(np.linalg.norm(d) / (scale + 1e-300) for d in (mixed, same_a, same_c)))
+    return worst
+
+
 class TestIdentitySuite:
     def test_ccr(self, reference_model):
         grid, quad, basis, ham = reference_model
         assert check_ccr(ham, count=100, seed=0).passed
+
+    @pytest.mark.parametrize("model", ["reference", "planar"])
+    def test_ccr_measures_what_one_call_per_product_does(self, model, reference_model, monkeypatch):
+        # check_ccr applies each smearing once to a block of the rows it acts
+        # on: 6 calls per vector, whose rows equal single-vector calls bit for bit
+        ham = reference_model[3] if model == "reference" else make_planar()
+        expected = ccr_one_call_per_product(ham, 12, 3)
+        calls = []
+        monkeypatch.setattr(verify, "apply_smeared", lambda *a: calls.append(a) or apply_smeared(*a))
+        outcome = check_ccr(ham, count=12, seed=3)
+        assert outcome.measured == expected > 0.0
+        assert len(calls) == 6 * 12
 
     def test_free_commutators(self, reference_model):
         grid, quad, basis, ham = reference_model
@@ -128,7 +176,8 @@ class TestIdentitySuite:
     def test_suite_builds_each_ladder_matrix_once(self, monkeypatch):
         # machine-independent work: every smeared action after the first of its
         # kind refills a matrix in place, so the five identity checks build at
-        # most one per action and dtype (3 x 2), however many smearings they draw
+        # most one per action and dtype (2 x 2, creation applies annihilation's
+        # transpose), however many smearings they draw
         grid, quad, basis = make_reference(n_max=6)
         ham = HamiltonianSet(basis, grid, quad)
         built = []
@@ -150,7 +199,7 @@ class TestIdentitySuite:
             check_weak_commutator(ham, 0.25, count=10, seed=5),
         ]
         assert all(o.passed for o in outcomes)
-        assert 0 < len(built) == len(basis._smeared) <= 6
+        assert 0 < len(built) == len(basis._smeared) <= 4
         # the complex smearings of the suite leave H's real field matrix alone
         assert np.array_equal(ham.hi(v), before)
         assert basis._smeared["segal", np.dtype(np.float64)] is hi_slot
