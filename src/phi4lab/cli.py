@@ -140,13 +140,10 @@ def _identity_outcomes(params, ham, kappa, eps, state=None):
     if kappa > 0 and basis.n_max >= 8:
         outcomes.append(check_hbound(kappa, eps, ham, seed=seed))
     if basis.n_max >= 8:
-        if state is not None:
-            psi = state.vector.copy()
-            psi[~basis.interior_mask(8)] = 0.0
-            nrm = np.linalg.norm(psi)
-            psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
-        else:
-            psi = draw_interior_vectors(basis, 8, 1, seed)[0]
+        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
+        psi[~basis.interior_mask(8)] = 0.0
+        nrm = np.linalg.norm(psi)
+        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
         outcomes.append(check_phi3_bound(psi, kappa, eps, ham))
     return outcomes
 

@@ -328,22 +328,15 @@ def build_model(params: ModelParams):
     from .fock import enumerate_basis
     from .grid import build_grid, build_spatial_quadrature
 
-    if params.modes is not None:
-        grid = build_grid(
-            params.dimension,
-            params.mass,
-            params.uv_cutoff,
-            modes=np.array(params.modes, dtype=float),
-            weights=None if params.mode_weights is None else np.array(params.mode_weights, dtype=float),
-        )
-    else:
-        grid = build_grid(
-            params.dimension,
-            params.mass,
-            params.uv_cutoff,
-            kmax=params.kmax,
-            modes_per_axis=params.modes_per_axis,
-        )
+    grid = build_grid(  # explicit modes, when given, take precedence over kmax
+        params.dimension,
+        params.mass,
+        params.uv_cutoff,
+        kmax=params.kmax,
+        modes_per_axis=params.modes_per_axis,
+        modes=None if params.modes is None else np.array(params.modes, dtype=float),
+        weights=None if params.mode_weights is None else np.array(params.mode_weights, dtype=float),
+    )
     quad = build_spatial_quadrature(params.dimension, params.spatial_cutoff, params.nodes_per_axis)
     basis = enumerate_basis(grid.num_modes, params.n_max)
     return grid, quad, basis

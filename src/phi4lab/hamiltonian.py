@@ -4,9 +4,9 @@ The interaction HI = sum_j c_j phi(x_j)^4, c_j = u_j chi(x_j), is never
 assembled.  The truncated field is translation covariant, phi(x) = D_x phi(0)
 D_x^+ with the diagonal phase D_x = exp(-i p_n . x), so HI v = sum_j c_j D_j
 phi(0)^4 D_j^+ v is four batched applications of the field at the origin to
-the rows D_j^+ v, one per node where c_j is nonzero (``field_powers``).  The
-smearing at the origin is real, so each application is one float64 sparse
-product on the real and imaginary parts of the rows.  Each power is exactly
+the columns D_j^+ v, one per node where c_j is nonzero (``ham.field_powers``).
+The smearing at the origin is real, so each application is one float64 sparse
+product on the real and imaginary parts of the columns.  Each power is exactly
 Hermitian, since the truncated Segal field is self-adjoint.  No normal-ordered
 expansion is attempted.
 
@@ -31,19 +31,17 @@ from .fock import FockBasis, OperatorHandle, apply_smeared
 from .grid import ModeGrid, SpatialQuadrature
 
 
-def field_powers(
-    basis: FockBasis, grid: ModeGrid, phases: np.ndarray, v: np.ndarray, power: int
-) -> np.ndarray:
-    """Rows phi(x_j)^power v_j for every node j of a phase table.
+def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.ndarray:
+    """Columns phi(x_j)^power v_j for every node j of a ``(dim, N_active)`` phase table.
 
     Uses phi(x) = D_x phi(0) D_x^+, exact under truncation because D_x is
-    diagonal: one batched field application per power serves every node.
-    ``v`` is one vector (used at every node) or one row per node.
+    diagonal: one batched field application per power serves every node,
+    alternately ``steps[0]`` and ``steps[1]`` on the block of columns.  ``v``
+    is one vector (used at every node) or one column per node.
     """
-    origin = grid.smearing_at(np.zeros(grid.dimension))
-    w = np.conj(phases) * v
-    for _ in range(power):
-        w = apply_smeared(basis, grid, origin, w, "segal")
+    w = np.conj(phases) * (v if v.ndim == 2 else v[:, None])
+    for p in range(power):
+        w = steps[p % 2](w)
     return phases * w
 
 
@@ -55,7 +53,15 @@ def apply_interaction(
 
 
 class _Couplings:
-    """``hkappa`` from the free diagonal ``esum`` and the handles ``h0``, ``hi``."""
+    """``h0``, ``hi``, ``hkappa`` from the free diagonal, phase table, node weights and
+    field ``steps`` (see ``_field_powers``); the handles close over these, not the set."""
+
+    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps):
+        self.esum, self.phases, self.coef = esum, phases, coef
+        self.h0 = OperatorHandle(apply=lambda v: esum * v, dim=len(esum))
+        self.hi = OperatorHandle(
+            apply=lambda v: _field_powers(phases, steps, v, 4) @ coef, dim=len(esum)
+        )
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
@@ -72,12 +78,12 @@ class HamiltonianSet(_Couplings):
     Precomputes the diagonal free energies ``esum = sum_i n_i omega_i`` (the
     diagonal of H0), the active quadrature ``nodes`` x_j (those where c_j =
     u_j chi(x_j) is nonzero), their weights ``coef`` c_j and the
-    ``(N_active, dim)`` phase table ``phases``, whose row j is the diagonal of
-    D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of basis
-    state n.  So a matvec costs one batched field application per power of
-    the field.  The handles close over these arrays, not over the set, so a
-    set is freed as soon as it is unreferenced.  The parity sectors ``even``
-    and ``odd`` and their ``origin_block`` are built on first use.
+    ``(dim, N_active)`` phase table ``phases``, whose column j is the diagonal
+    of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
+    basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
+    origin per power of the field.  A set is freed as soon as it is
+    unreferenced.  The parity sectors ``even`` and ``odd`` and their
+    ``origin_block`` are built on first use.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
@@ -87,13 +93,18 @@ class HamiltonianSet(_Couplings):
         weights = quad.weights * quad.chi_values
         active = np.nonzero(weights)[0]
         self.nodes, coef = quad.nodes[active], weights[active]
-        phases = np.exp(-1j * ((basis.states @ grid.modes) @ self.nodes.T)).T
-        esum = basis.states @ grid.omega
-        self.coef, self.phases, self.esum = coef, phases, esum
-        self.h0 = OperatorHandle(apply=lambda v: esum * v, dim=basis.dim)
-        self.hi = OperatorHandle(
-            apply=lambda v: coef @ field_powers(basis, grid, phases, v, 4), dim=basis.dim
-        )
+        phases = np.exp(-1j * ((basis.states @ grid.modes) @ self.nodes.T))
+        origin = grid.smearing_at(np.zeros(grid.dimension))
+
+        def segal(w):  # phi(0) on the columns
+            return apply_smeared(basis, grid, origin, w.T, "segal").T
+
+        self._steps = (segal, segal)
+        super().__init__(basis.states @ grid.omega, phases, coef, self._steps)
+
+    def field_powers(self, v: np.ndarray, power: int) -> np.ndarray:
+        """Columns phi(x_j)^power v_j, ``v`` one vector or one column per node."""
+        return _field_powers(self.phases, self._steps, v, power)
 
     @functools.cached_property
     def origin_block(self) -> scipy.sparse.csr_matrix:
@@ -116,28 +127,20 @@ class ParitySector(_Couplings):
     """H0, HI and H(kappa) on the states of one boson-number parity (0 even, 1 odd).
 
     ``index`` lists the sector's states, ``esum`` is its free diagonal and
-    ``phases`` its ``(dim, N_active)`` slice of the phase table.  The handles
-    act on vectors of length ``dim``, each field power one float64 product of
-    ``origin_block`` or its transpose; ``embed`` returns to the full basis.
+    ``phases`` its rows of the phase table.  The handles act on vectors of
+    length ``dim``, each field power one float64 product of ``origin_block``
+    or its transpose; ``embed`` returns to the full basis.  A sector has no
+    ``field_powers``: an odd power leaves it.
     """
 
     def __init__(self, ham: HamiltonianSet, parity: int):
         self.full_dim = ham.basis.dim
         self.index = np.flatnonzero(ham.basis.grades % 2 == parity)
         self.dim = len(self.index)
-        self.esum = esum = ham.esum[self.index]
-        self.phases = phases = np.ascontiguousarray(ham.phases[:, self.index].T)
-        coef, block = ham.coef, ham.origin_block
-        steps = (block, block.T) if parity == 0 else (block.T, block)
-
-        def hi(v):
-            w = np.conj(phases) * v[:, None]
-            for power in range(4):
-                w = (steps[power % 2] @ w.view(np.float64)).view(complex)
-            return (phases * w) @ coef
-
-        self.h0 = OperatorHandle(apply=lambda v: esum * v, dim=self.dim)
-        self.hi = OperatorHandle(apply=hi, dim=self.dim)
+        block = ham.origin_block
+        ops = (block, block.T) if parity == 0 else (block.T, block)
+        steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
+        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps)
 
     def embed(self, v: np.ndarray) -> np.ndarray:
         """The sector vector ``v`` as a full graded-lex vector, zero off the sector."""

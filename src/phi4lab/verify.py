@@ -21,7 +21,7 @@ import numpy as np
 from .config import ModelParams
 from .errors import ConfigError, Phi4LabError, SpectralConditionViolated
 from .fock import FockBasis, apply_h0perp_inverse, apply_mode_annihilation, apply_smeared
-from .hamiltonian import HamiltonianSet, field_powers
+from .hamiltonian import HamiltonianSet
 from .spectral import SpectralResult, ground_state, solve_shifted
 from .theory import (
     EpsilonFamily,
@@ -381,14 +381,14 @@ def check_phi3_bound(
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
     psi must live in grades <= n_max - 8.
     """
-    basis, grid, quad = ham.basis, ham.grid, ham.quadrature
+    grid, quad = ham.grid, ham.quadrature
     fam = epsilon_family(epsilon, kappa, 0.0, grid, quad)  # lam, mu only
-    p3 = field_powers(basis, grid, ham.phases, psi, 3)
-    p4 = field_powers(basis, grid, ham.phases, p3, 1)
+    p3 = ham.field_powers(psi, 3)
+    p4 = ham.field_powers(p3, 1)
     norm2 = float(np.real(np.vdot(psi, psi)))
     # node-pair Gram matrices <phi_j^p psi, phi_k^p psi>
-    cross3 = np.abs(np.conj(p3) @ p3.T)
-    cross4 = np.real(np.conj(p4) @ p4.T)
+    cross3 = np.abs(p3.conj().T @ p3)
+    cross4 = np.real(p4.conj().T @ p4)
     slack = cross4 + 0.5 * norm2 - cross3
     point_worst = float(np.max(_rel(-slack, np.abs(cross4) + norm2 + 1.0), initial=-math.inf))
     integral = float(ham.coef @ cross3 @ ham.coef)
@@ -481,11 +481,6 @@ def check_overlap(
 # resolvent identities on the computed ground state
 
 
-def _phi3_source(ham: HamiltonianSet, v: np.ndarray) -> np.ndarray:
-    """Rows c_j phi(x_j)^3 v over the active nodes, chi-weighted for reuse."""
-    return ham.coef[:, None] * field_powers(ham.basis, ham.grid, ham.phases, v, 3)
-
-
 def check_pull_through(
     state: SpectralResult,
     kappa: float,
@@ -543,7 +538,7 @@ def check_pull_through(
                 )
             )
         return outcomes
-    sources = _phi3_source(ham, v)
+    sources = ham.field_powers(v, 3) * ham.coef  # column j: c_j phi(x_j)^3 psi
     hk, odd = ham.hkappa(kappa), ham.odd
     hk_odd = odd.hkappa(kappa)
     hi_v = ham.hi(v)
@@ -553,7 +548,7 @@ def check_pull_through(
         omega = float(grid.omega[i])
         lhs = apply_mode_annihilation(basis, i, v) / sqw
         lhs_norm = float(np.linalg.norm(lhs))
-        rhs_src = np.exp(-1j * (ham.nodes @ grid.modes[i])) @ sources
+        rhs_src = sources @ np.exp(-1j * (ham.nodes @ grid.modes[i]))
         shift = omega - state.e0
         y, cg_iterations, cg_residual = solve_shifted(
             hk_odd, shift, rhs_src[odd.index], precond=odd.esum + omega, emin=state.e0, tol=lin_tol

@@ -125,11 +125,13 @@ class TestCli:
         assert "c1 = 21.533126292" in out
 
     def test_info_unity_config_echoes_cbos_16(self, tmp_path, capsys):
-        path = write_config(tmp_path)
-        assert main(["info", "--config", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "c_bos = 16" in out
-        assert "d_bos = 1" in out
+        # explicit modes default to unit weights, so omitting them changes nothing
+        for weights in ("1", None):
+            path = write_config(tmp_path, **{"grid.weights": weights})
+            assert main(["info", "--config", str(path)]) == 0
+            out = capsys.readouterr().out
+            assert "c_bos = 16" in out
+            assert "d_bos = 1" in out
 
     def test_solve_zero_coupling_all_pass(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"coupling.kappa": 0.0})

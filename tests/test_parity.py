@@ -22,7 +22,7 @@ from phi4lab import (
     solve_shifted,
 )
 from phi4lab import hamiltonian
-from phi4lab.hamiltonian import HamiltonianSet, field_powers
+from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.verify import check_pull_through
 
 from conftest import field_handle, make_reference
@@ -55,7 +55,7 @@ def test_sectors_split_the_basis_by_grade_parity(model):
     assert np.array_equal(np.sort(np.concatenate([even.index, odd.index])), np.arange(basis.dim))
     assert even.index[0] == 0  # the vacuum leads the even sector
     assert np.array_equal(even.esum, ham.esum[even.index])
-    assert np.array_equal(odd.phases, ham.phases[:, odd.index].T)
+    assert np.array_equal(odd.phases, ham.phases[odd.index])
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3])
@@ -85,6 +85,20 @@ def test_origin_block_is_the_segal_field_at_the_origin(model):
     assert np.array_equal(block.T.toarray(), field[np.ix_(ham.even.index, ham.odd.index)].real)
     assert not field.imag.any()
     assert block.nnz == len(basis.ladders.src)
+
+
+def test_field_powers_are_the_dense_field_powers_at_every_node(model):
+    _, _, basis, ham, dense = model
+    v = rand_vec(basis.dim, seed=8)
+    columns = np.stack([rand_vec(basis.dim, seed=20 + j) for j in range(len(ham.nodes))], axis=1)
+    fields = [dense.phi(x) for x in ham.nodes]
+    for power in range(1, 5):
+        for given, column in ((v, lambda j: v), (columns, lambda j: columns[:, j])):
+            got = ham.field_powers(given, power)
+            assert got.shape == (basis.dim, len(ham.nodes))
+            for j, field in enumerate(fields):
+                want = np.linalg.matrix_power(field, power) @ column(j)
+                assert np.abs(got[:, j] - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
 def test_full_handle_is_the_two_sectors_composed(model):
@@ -125,6 +139,7 @@ def test_depth_zero_has_an_empty_odd_sector():
     grid, quad, basis = make_reference(n_max=0)
     ham = HamiltonianSet(basis, grid, quad)
     assert ham.odd.dim == 0 and ham.even.dim == 1
+    assert ham.odd.hkappa(0.05)(np.zeros(0, complex)).shape == (0,)
     state = ground_state(ham.even.hkappa(0.05), ham.even.dim, seed=1)
     state.vector = ham.even.embed(state.vector)
     assert state.e0 == pytest.approx(0.0, abs=1e-14)  # <vac, HI vac> needs two quanta
@@ -173,10 +188,10 @@ class TestSolversInTheirSectors:
         even, odd = ham.even, ham.odd
         state = ground_state(even.hkappa(kappa), even.dim, tol=1e-12, seed=7)
         psi = even.embed(state.vector)
-        sources = ham.coef[:, None] * field_powers(basis, grid, ham.phases, psi, 3)
+        sources = ham.field_powers(psi, 3) * ham.coef
         for i in range(basis.num_modes):
             omega = float(grid.omega[i])
-            rhs = np.exp(-1j * (ham.nodes @ grid.modes[i])) @ sources
+            rhs = sources @ np.exp(-1j * (ham.nodes @ grid.modes[i]))
             assert not rhs[even.index].any()  # phi^3 of an even vector is odd
             shift = omega - state.e0
             full, _, _ = solve_shifted(
