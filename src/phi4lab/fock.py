@@ -67,6 +67,7 @@ class FockBasis:
     states: np.ndarray = field(init=False, repr=False)
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
+    _binom: np.ndarray = field(init=False, repr=False, compare=False)  # binom[a, b] = C(a, b), rank's table
     # ("annihilate" | "segal", dtype) -> (scaled smearing its data holds, CSR,
     # its transpose): apply_smeared's slots, creation served by the annihilation one
     _smeared: dict = field(init=False, repr=False, compare=False)
@@ -86,6 +87,9 @@ class FockBasis:
         grades.setflags(write=False)
         object.__setattr__(self, "states", arr)
         object.__setattr__(self, "grades", grades)
+        M = self.num_modes
+        binom = np.array([[math.comb(a, b) for b in range(M + 1)] for a in range(self.n_max + M)])
+        object.__setattr__(self, "_binom", binom)
         object.__setattr__(self, "ladders", self._ladder_table())
         object.__setattr__(self, "_smeared", {})
 
@@ -102,8 +106,7 @@ class FockBasis:
         i is smaller.  Rows must be valid occupations (see ``index_of``).
         """
         states = np.asarray(states, dtype=np.int64)
-        M = self.num_modes
-        binom = np.array([[math.comb(a, b) for b in range(M + 1)] for a in range(self.n_max + M)])
+        M, binom = self.num_modes, self._binom
         left = states.sum(axis=-1)
         index = binom[M - 1 + left, M]
         for i in range(M - 1):

@@ -69,6 +69,11 @@ class CutoffSpec:
                 raise ConfigError("tabulated cutoff points must be strictly increasing")
 
     @property
+    def amp_sigma(self) -> tuple[float, float]:
+        """``(A, sigma)`` of a gaussian cutoff; A defaults to 1."""
+        return (1.0, *self.parameters) if len(self.parameters) == 1 else self.parameters
+
+    @property
     def signed_table(self) -> bool:
         return self.table is not None and any(p < 0 for p, _ in self.table)
 
@@ -86,7 +91,7 @@ class CutoffSpec:
                 x = points[:, 0]
                 out = np.where((x >= a) & (x <= b), 1.0, 0.0)
         elif self.kind == "gaussian":
-            amp, sigma = (1.0, *self.parameters) if len(self.parameters) == 1 else self.parameters
+            amp, sigma = self.amp_sigma
             r2 = np.sum(points**2, axis=1)
             out = amp * np.exp(-r2 / (2.0 * sigma**2))
         else:
@@ -110,8 +115,7 @@ class CutoffSpec:
                 return -self.parameters[0], self.parameters[0]
             return self.parameters
         if self.kind == "gaussian":
-            sigma = self.parameters[-1]
-            half = GAUSSIAN_SUPPORT_SIGMAS * sigma
+            half = GAUSSIAN_SUPPORT_SIGMAS * self.amp_sigma[1]
             return -half, half
         pts = [p for p, _ in self.table]
         if self.signed_table:
@@ -305,11 +309,7 @@ def build_spatial_quadrature(
     chi = spatial_cutoff(nodes)
     trunc = 0.0
     if spatial_cutoff.kind == "gaussian":
-        amp, sigma = (
-            (1.0, *spatial_cutoff.parameters)
-            if len(spatial_cutoff.parameters) == 1
-            else spatial_cutoff.parameters
-        )
+        amp, sigma = spatial_cutoff.amp_sigma
         full_1d = amp ** (1.0 / dimension) * sigma * math.sqrt(2.0 * math.pi)
         covered_1d = full_1d * math.erf(GAUSSIAN_SUPPORT_SIGMAS / math.sqrt(2.0))
         trunc = abs(full_1d**dimension - covered_1d**dimension)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import phi4lab
-from phi4lab import ConfigError, load_vector, parse_config, render_config
+from phi4lab import ConfigError, config, load_vector, parse_config, render_config
 from phi4lab.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -65,8 +66,20 @@ class TestConfigParsing:
         again = parse_config(echoed)
         assert again == params
 
-    def test_round_trip_explicit_modes(self, tmp_path):
-        params = parse_config(write_config(tmp_path))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"grid.kmax": 3.0},  # explicit modes beside the uniform rule's kmax
+            {"epsilon.policy": "fixed", "epsilon.value": 0.01},
+            {"output.dump_vectors": "true"},
+            {"coupling.kappa": None, "coupling.kappa_list": None},  # empty [coupling]
+            {"output.directory": "out%1"},  # values are literal, no '%' interpolation
+        ],
+        ids=["modes", "modes-and-kmax", "fixed-epsilon", "dump-vectors", "empty-coupling", "percent"],
+    )
+    def test_round_trip_explicit_modes(self, tmp_path, overrides):
+        params = parse_config(write_config(tmp_path, **overrides))
         echoed = tmp_path / "echo.ini"
         echoed.write_text(render_config(params))
         assert parse_config(echoed) == params
@@ -81,6 +94,9 @@ class TestConfigParsing:
             ("quadrature.nodes_per_axis", 0, "[quadrature] nodes_per_axis"),
             ("model.dimension", "two", "[model] dimension"),
             ("output.dump_vectors", "ture", "[output] dump_vectors"),
+            ("truncation.n_mx", 20, "[truncation] n_mx: unknown key"),
+            ("spatial_cutoff.radius", 1, "[spatial_cutoff] radius: unknown key"),
+            ("grid.modes", None, "[grid] weights"),  # weights without modes
         ],
     )
     def test_field_precise_errors(self, tmp_path, dotted, value, needle):
@@ -88,6 +104,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert needle in str(err.value)
+
+    def test_key_table_names_every_field_once(self):
+        names = [row[0] for row in config._KEYS]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(config.ModelParams))
+        assert len(set(names)) == len(names)
 
     @pytest.mark.parametrize(
         "word,value", [("on", True), ("Yes", True), ("1", True), ("off", False), ("0", False)]
@@ -98,9 +119,10 @@ class TestConfigParsing:
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[mystery]\nx = 1\n")
-        with pytest.raises(ConfigError):
-            parse_config(path)
+        for text in ("[mystery]\nx = 1\n", "[DEFAULT]\nseed = 3\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="unknown section"):
+                parse_config(path)
 
     def test_geometric_kappa_list(self, tmp_path):
         path = write_config(tmp_path, **{"coupling.kappa_list": "geometric 0.4 0.5 3"})
