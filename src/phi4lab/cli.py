@@ -1,7 +1,9 @@
 """Command-line entry point: info / solve / sweep / verify / report.
 
-Exit status: 0 when every check passes, 1 when any check failed or a sweep is
-degraded, 2 on configuration or runtime errors.
+Exit status: 0 when every check passes, 1 when any check failed (a skipped
+check does not count) or a sweep is degraded, 2 on configuration or runtime
+errors.  ``solve``, ``verify`` and ``sweep`` print the ``report`` rendering of
+the document they write.
 """
 
 from __future__ import annotations
@@ -18,15 +20,7 @@ from .errors import Phi4LabError
 from .fock import save_vector
 from .grid import cutoff_norm
 from .hamiltonian import HamiltonianSet
-from .report import (
-    load_json,
-    render_text,
-    solve_document,
-    sweep_document,
-    verify_document,
-    write_json,
-    write_sweep_csv,
-)
+from .report import document, load_json, render_text, write_json, write_sweep_csv
 from .spectral import ground_state
 from .theory import (
     compute_constants,
@@ -63,21 +57,6 @@ def _epsilon_for(params: ModelParams, kappa: float, ham: HamiltonianSet) -> floa
     return 1.0 if math.isinf(limit) else 0.5 * limit
 
 
-def _print_outcomes(outcomes) -> bool:
-    """Print one line per check; only an actual failure flips the exit code."""
-    ok = True
-    for o in outcomes:
-        mark = "PASS" if o.status == "pass" else o.status.upper()
-        line = f"[{mark}] {o.name}: measured {o.measured:.6e} (threshold {o.threshold:.6e})"
-        if o.caveat:
-            line += f"  ({o.caveat})"
-        if o.status == "skipped" and "reason" in o.context:
-            line += f"  ({o.context['reason']})"
-        print(line)
-        ok = ok and o.status != "fail"
-    return ok
-
-
 def cmd_info(params: ModelParams) -> int:
     grid, quad, basis = build_model(params)
     c_bos, d_bos = hbound_constants(grid, quad)
@@ -112,20 +91,16 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     )
     state.vector = even.embed(state.vector)
     state.top_grade_weight = top_grade_weight(basis, state.vector)
-    print(
-        f"kappa = {kappa}: e0 = {state.e0!r} (residual {state.residual:.3e}, "
-        f"{state.iterations} matvecs, {state.restarts} restarts, even-sector gap {state.gap_estimate:.3e})"
-    )
     fam, outcomes = check_state(state, kappa, ham, params)
     outcomes += _identity_outcomes(params, ham, kappa, fam.epsilon, state=state)
-    ok = _print_outcomes(outcomes)
-    doc = solve_document(params, kappa, state, consts, outcomes)
+    doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
     if params.dump_vectors:
         save_vector(out_dir / f"ground_kappa{kappa!r}.f4vec", basis, state.vector)
+    print(render_text(doc), end="")
     print(f"report written to {out_dir / 'solve.json'}")
-    return 0 if ok else 1
+    return int(any(o.status == "fail" for o in outcomes))
 
 
 def _identity_outcomes(params, ham, kappa, eps, state=None):
@@ -153,7 +128,7 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
     report = sweep_kappa(ham, compute_constants(ham), params)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_sweep_csv(report, params, out_dir / "sweep.csv")
-    doc = sweep_document(report, params)
+    doc = document("sweep", params, constants=report.constants, sweep=report)
     write_json(doc, out_dir / "sweep.json")
     print(render_text(doc), end="")
     print(f"CSV written to {out_dir / 'sweep.csv'}")
@@ -170,10 +145,11 @@ def cmd_verify(params: ModelParams, out_dir: Path) -> int:
     )
     eps = _epsilon_for(params, kappa, ham)
     outcomes = _identity_outcomes(params, ham, kappa, eps)
-    ok = _print_outcomes(outcomes)
+    doc = document("verify", params, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(verify_document(params, outcomes), out_dir / "verify.json")
-    return 0 if ok else 1
+    write_json(doc, out_dir / "verify.json")
+    print(render_text(doc), end="")
+    return int(any(o.status == "fail" for o in outcomes))
 
 
 def cmd_report(params: ModelParams, out_dir: Path, input_path: str | None) -> int:
@@ -183,7 +159,13 @@ def cmd_report(params: ModelParams, out_dir: Path, input_path: str | None) -> in
         candidates = [out_dir / "sweep.json", out_dir / "solve.json", out_dir / "verify.json"]
     for candidate in candidates:
         if candidate.exists():
-            print(render_text(load_json(candidate)), end="")
+            try:
+                text = render_text(load_json(candidate))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise Phi4LabError(
+                    f"{candidate} is not a phi4lab report ({type(exc).__name__}: {exc})"
+                ) from None
+            print(text, end="")
             return 0
     raise Phi4LabError(f"no stored report found among {[str(c) for c in candidates]}")
 

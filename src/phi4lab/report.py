@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from . import __version__
 from .config import ModelParams, render_config
+from .spectral import SpectralResult
+from .theory import TheoryConstants
 from .verify import CheckOutcome, SweepReport, SweepRow
 
 
@@ -23,37 +26,14 @@ def fmt17(x) -> str:
 
 
 def to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays and complex numbers."""
+    """Recursively convert numpy scalars to the Python numbers JSON writes."""
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
     return obj
-
-
-def _versions() -> dict:
-    from . import __version__
-
-    return {"phi4lab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
-def outcome_dict(outcome: CheckOutcome) -> dict:
-    return to_jsonable(
-        {
-            "name": outcome.name,
-            "status": outcome.status,
-            "measured": outcome.measured,
-            "threshold": outcome.threshold,
-            "context": outcome.context,
-            "caveat": outcome.caveat,
-        }
-    )
 
 
 def write_sweep_csv(report: SweepReport, params: ModelParams, path) -> None:
@@ -67,75 +47,47 @@ def write_sweep_csv(report: SweepReport, params: ModelParams, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def sweep_document(report: SweepReport, params: ModelParams) -> dict:
-    rows = []
-    for row in report.rows:
-        entry = {name: getattr(row, name) for name in SweepRow.CSV_FIELDS}
-        entry["failed"] = row.failed
-        entry["extras"] = row.extras
-        rows.append(entry)
-    return to_jsonable(
-        {
-            "kind": "sweep",
-            "versions": _versions(),
-            "config_echo": render_config(params),
-            "seed": params.seed,
-            "constants": vars(report.constants),
-            "rows": rows,
-            "summary": {
-                "tail_ratios_decreasing": report.tail_ratios_decreasing,
-                "ratio_final_over_first": report.ratio_final_over_first,
-                "quadratic_fit": report.quadratic_fit,
-                "fit_over_a": report.fit_over_a,
-                "fit_within_factor3": report.fit_within_factor3,
-                "degraded": report.degraded,
-                "failures": report.failures,
-            },
-        }
-    )
+def _fields(record, *drop: str) -> dict:
+    return {key: value for key, value in vars(record).items() if key not in drop}
 
 
-def solve_document(
+def document(
+    kind: str,
     params: ModelParams,
-    kappa: float,
-    state,
-    constants,
-    outcomes: list[CheckOutcome],
+    *,
+    kappa: float | None = None,
+    state: SpectralResult | None = None,
+    constants: TheoryConstants | None = None,
+    outcomes: list[CheckOutcome] | None = None,
+    sweep: SweepReport | None = None,
 ) -> dict:
-    return to_jsonable(
-        {
-            "kind": "solve",
-            "versions": _versions(),
-            "config_echo": render_config(params),
-            "seed": params.seed,
-            "kappa": kappa,
-            "ground_state": {
-                "e0": state.e0,
-                "residual": state.residual,
-                "iterations": state.iterations,
-                "restarts": state.restarts,
-                "gap_estimate": state.gap_estimate,
-                "near_degenerate": state.near_degenerate,
-                "top_grade_weight": state.top_grade_weight,
-            },
-            "constants": vars(constants),
-            "checks": [outcome_dict(o) for o in outcomes],
-            "all_passed": all(o.status == "pass" for o in outcomes),
-        }
-    )
+    """The stored report of one ``solve``, ``verify`` or ``sweep`` run.
 
-
-def verify_document(params: ModelParams, outcomes: list[CheckOutcome]) -> dict:
-    return to_jsonable(
-        {
-            "kind": "verify",
-            "versions": _versions(),
-            "config_echo": render_config(params),
-            "seed": params.seed,
-            "checks": [outcome_dict(o) for o in outcomes],
-            "all_passed": all(o.status == "pass" for o in outcomes),
-        }
-    )
+    After the run header come the parts given, in this order: ``kappa`` and
+    ``ground_state`` (the ``SpectralResult`` without its vector),
+    ``constants``, ``checks`` (one ``CheckOutcome`` each) and ``all_passed``,
+    ``rows`` (each ``SweepRow`` with ``extras`` last) and ``summary`` (the
+    ``SweepReport`` without rows and constants).  Every record keeps its
+    dataclass's field names in declared order.
+    """
+    doc = {
+        "kind": kind,
+        "versions": {"phi4lab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        "config_echo": render_config(params),
+        "seed": params.seed,
+    }
+    if state is not None:
+        doc["kappa"] = kappa
+        doc["ground_state"] = _fields(state, "vector")
+    if constants is not None:
+        doc["constants"] = vars(constants)
+    if outcomes is not None:
+        doc["checks"] = [vars(o) for o in outcomes]
+        doc["all_passed"] = all(o.status == "pass" for o in outcomes)
+    if sweep is not None:
+        doc["rows"] = [{**_fields(row, "extras"), "extras": row.extras} for row in sweep.rows]
+        doc["summary"] = _fields(sweep, "rows", "constants")
+    return to_jsonable(doc)
 
 
 def write_json(doc: dict, path) -> None:
@@ -155,7 +107,8 @@ def render_text(doc: dict) -> str:
         gs = doc["ground_state"]
         lines.append(
             f"  e0 = {gs['e0']!r}  residual = {gs['residual']:.3e}  "
-            f"iterations = {gs['iterations']}  even-sector gap = {gs['gap_estimate']:.3e}"
+            f"iterations = {gs['iterations']}  restarts = {gs['restarts']}  "
+            f"even-sector gap = {gs['gap_estimate']:.3e}"
         )
     if "constants" in doc:
         consts = doc["constants"]
@@ -165,13 +118,14 @@ def render_text(doc: dict) -> str:
     if "checks" in doc:
         lines.append("  checks:")
         for chk in doc["checks"]:
-            mark = "PASS" if chk["status"] == "pass" else chk["status"].upper()
             lines.append(
-                f"    [{mark}] {chk['name']}: measured {chk['measured']:.6e} "
+                f"    [{chk['status'].upper()}] {chk['name']}: measured {chk['measured']:.6e} "
                 f"vs threshold {chk['threshold']:.6e}"
             )
             if chk.get("caveat"):
                 lines.append(f"           caveat: {chk['caveat']}")
+            if chk["status"] == "skipped" and "reason" in chk["context"]:
+                lines.append(f"           reason: {chk['context']['reason']}")
     if "rows" in doc:
         lines.append(
             "  kappa        e0             e/kappa       overlap      pull_resid"

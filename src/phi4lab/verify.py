@@ -14,7 +14,7 @@ coefficients, projected to the stated interior grades, and normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -686,21 +686,24 @@ def check_state(
 
 @dataclass
 class SweepRow:
-    """One coupling point of the sweep; the fields before ``extras`` are the CSV columns."""
+    """One coupling point of the sweep; the fields before ``extras`` are the CSV columns.
+
+    A column left unmeasured, as on a failed row, is NaN.
+    """
 
     kappa: float
-    e0: float
-    residual: float
-    c1_kappa: float
-    e_abs: float
-    e_over_kappa: float
-    rayleigh_bound: float
-    paper_bound: float
-    n_expect: float
-    c_eps_kappa: float
-    overlap: float
-    pullthrough_resid: float
-    top_grade_weight: float
+    e0: float = math.nan
+    residual: float = math.nan
+    c1_kappa: float = math.nan
+    e_abs: float = math.nan
+    e_over_kappa: float = math.nan
+    rayleigh_bound: float = math.nan
+    paper_bound: float = math.nan
+    n_expect: float = math.nan
+    c_eps_kappa: float = math.nan
+    overlap: float = math.nan
+    pullthrough_resid: float = math.nan
+    top_grade_weight: float = math.nan
     extras: dict = field(default_factory=dict)
     failed: bool = False
 
@@ -741,28 +744,17 @@ def sweep_kappa(
     rows: list[SweepRow] = []
     failures: list[str] = []
     for kap in kappas:
+        row = SweepRow(
+            kap,
+            c1_kappa=kap * consts.c1,
+            rayleigh_bound=rayleigh_upper_bound(kap, consts),
+            paper_bound=series_upper_bound(kap, consts),
+        )
         try:
-            rows.append(_sweep_row(ham, consts, kap, params))
+            rows.append(_sweep_row(ham, row, params))
         except Phi4LabError as exc:
             failures.append(f"kappa={kap!r}: {exc}")
-            rows.append(
-                SweepRow(
-                    kappa=kap,
-                    e0=math.nan,
-                    residual=math.nan,
-                    c1_kappa=kap * consts.c1,
-                    e_abs=math.nan,
-                    e_over_kappa=math.nan,
-                    rayleigh_bound=rayleigh_upper_bound(kap, consts),
-                    paper_bound=series_upper_bound(kap, consts),
-                    n_expect=math.nan,
-                    c_eps_kappa=math.nan,
-                    overlap=math.nan,
-                    pullthrough_resid=math.nan,
-                    top_grade_weight=math.nan,
-                    failed=True,
-                )
-            )
+            rows.append(replace(row, failed=True))
     positive = [r for r in rows if r.kappa > 0 and not r.failed]
     ratios = [r.e_over_kappa for r in positive]
     tail = ratios[-min(5, len(ratios)) :]
@@ -802,9 +794,9 @@ def sweep_kappa(
     )
 
 
-def _sweep_row(
-    ham: HamiltonianSet, consts: TheoryConstants, kap: float, params: ModelParams
-) -> SweepRow:
+def _sweep_row(ham: HamiltonianSet, row: SweepRow, params: ModelParams) -> SweepRow:
+    """``row``, which holds its coupling's closed-form columns, with the measured ones filled in."""
+    kap = row.kappa
     even = ham.even
     state = ground_state(
         even.hkappa(kap), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
@@ -834,16 +826,13 @@ def _sweep_row(
     else:
         extras["arai"] = arai.context
         extras["check_status"]["eigenprojection-identities"] = arai.passed
-    e_abs = abs(state.e0 - kap * consts.c1)
-    return SweepRow(
-        kappa=kap,
+    e_abs = abs(state.e0 - row.c1_kappa)
+    return replace(
+        row,
         e0=state.e0,
         residual=state.residual,
-        c1_kappa=kap * consts.c1,
         e_abs=e_abs,
         e_over_kappa=e_abs / kap if kap > 0 else 0.0,
-        rayleigh_bound=rayleigh_upper_bound(kap, consts),
-        paper_bound=series_upper_bound(kap, consts),
         n_expect=number_outcome.measured,
         c_eps_kappa=fam.c_number,
         overlap=abs(state.vector[0]),

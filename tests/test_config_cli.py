@@ -230,6 +230,67 @@ class TestCli:
         assert code == 0
         assert "phi4lab sweep report" in out
 
+    def test_report_rerenders_what_the_command_printed(self, tmp_path, capsys):
+        # at kappa = 0.2 the reference e0 = 1.426 lies above min omega = 1, so
+        # solve skips the eigenprojection identities and reports why
+        path = tmp_path / "reference.ini"
+        path.write_text(REFERENCE.read_text().replace("kappa = 0.05", "kappa = 0.2"))
+        reason = "reason: ground energy 1.426"
+        for command in ("solve", "verify"):
+            doc = tmp_path / command / f"{command}.json"
+            assert main([command, "--config", str(path), "--out", str(doc.parent)]) == 0
+            printed = capsys.readouterr().out
+            assert main(["report", "--config", str(path), "--input", str(doc)]) == 0
+            rendered = capsys.readouterr().out
+            if command == "solve":
+                rendered += f"report written to {doc}\n"
+                assert reason in printed and reason in rendered
+            assert printed == rendered
+
+    def test_report_rejects_a_file_that_is_no_report(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"kind": "solve",')
+        no_e0 = tmp_path / "no_e0.json"
+        no_e0.write_text(json.dumps({"kind": "solve", "ground_state": {"residual": 0.0}}))
+        for path in (malformed, no_e0):
+            assert main(["report", "--config", str(REFERENCE), "--input", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and str(path) in line
+
+    def test_document_key_order(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        for command in ("solve", "verify", "sweep"):
+            main([command, "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        solve, verify, sweep = (
+            json.loads((out / f"{kind}.json").read_text()) for kind in ("solve", "verify", "sweep")
+        )
+        header = ["kind", "versions", "config_echo", "seed"]
+        assert list(solve) == header + [
+            "kappa", "ground_state", "constants", "checks", "all_passed",
+        ]
+        assert list(solve["ground_state"]) == [
+            "e0", "residual", "iterations", "restarts", "gap_estimate",
+            "near_degenerate", "top_grade_weight",
+        ]
+        assert list(solve["checks"][0]) == [
+            "name", "status", "measured", "threshold", "context", "caveat",
+        ]
+        assert list(verify) == header + ["checks", "all_passed"]
+        assert list(sweep) == header + ["constants", "rows", "summary"]
+        assert list(sweep["rows"][0]) == [
+            "kappa", "e0", "residual", "c1_kappa", "e_abs", "e_over_kappa",
+            "rayleigh_bound", "paper_bound", "n_expect", "c_eps_kappa",
+            "overlap", "pullthrough_resid", "top_grade_weight", "failed", "extras",
+        ]
+        assert list(sweep["summary"]) == [
+            "tail_ratios_decreasing", "ratio_final_over_first", "quadratic_fit",
+            "fit_over_a", "fit_within_factor3", "degraded", "failures",
+        ]
+
     def test_missing_config_exit_2(self, capsys):
         assert main(["info", "--config", "/nonexistent.ini"]) == 2
         assert "error" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from phi4lab import (
     ConfigError,
     CutoffSpec,
     EpsilonOutOfRange,
+    NoConvergence,
     SpectralConditionViolated,
     apply_smeared,
     build_grid,
@@ -472,6 +473,35 @@ class TestSweep:
             sweep_kappa(ham, consts, ModelParams(kappa_list=(0.1, 0.2)))
         with pytest.raises(ConfigError):
             sweep_kappa(ham, consts, ModelParams(kappa_list=(-0.1,)))
+
+    def test_failed_row_keeps_closed_form_columns(self, reference_model, monkeypatch):
+        grid, quad, basis, ham = reference_model
+        consts = compute_constants(ham)
+        params = ModelParams(kappa_list=(0.1, 0.05, 0.025), seed=26)
+        clean = sweep_kappa(ham, consts, params)
+        calls = []
+
+        def fails_at_second_coupling(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise NoConvergence("injected")
+            return ground_state(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "ground_state", fails_at_second_coupling)
+        report = sweep_kappa(ham, consts, params)
+        row = report.rows[1]
+        for name in (
+            "e0", "residual", "e_abs", "e_over_kappa", "n_expect", "c_eps_kappa",
+            "overlap", "pullthrough_resid", "top_grade_weight",
+        ):
+            assert math.isnan(getattr(row, name)), name
+        for name in ("c1_kappa", "rayleigh_bound", "paper_bound"):
+            assert math.isfinite(getattr(row, name)), name
+            assert getattr(row, name) == getattr(clean.rows[1], name), name
+        assert row.failed and row.kappa == 0.05 and row.extras == {}
+        assert "kappa=0.05: injected" in report.failures
+        assert report.degraded
+        assert report.rows[0] == clean.rows[0] and report.rows[2] == clean.rows[2]
 
     def test_fixed_epsilon_policy_reaches_every_row(self, reference_model):
         grid, quad, basis, ham = reference_model
