@@ -23,7 +23,9 @@ from .hamiltonian import HamiltonianSet
 from .report import document, load_json, render_text, write_json, write_sweep_csv
 from .spectral import ground_state
 from .theory import (
+    MIN_TRUNCATION_FOR_CUBIC,
     compute_constants,
+    epsilon_family,
     epsilon_upper_limit,
     first_order_coefficient,
     hbound_constants,
@@ -48,15 +50,6 @@ def _build(params: ModelParams) -> HamiltonianSet:
     return HamiltonianSet(basis, grid, quad)
 
 
-def _epsilon_for(params: ModelParams, kappa: float, ham: HamiltonianSet) -> float:
-    """Admissible epsilon for state-free inequality checks."""
-    if params.epsilon_policy == "fixed":
-        return params.epsilon_value
-    c_bos, _ = hbound_constants(ham.grid, ham.quadrature)
-    limit = epsilon_upper_limit(kappa, c_bos)
-    return 1.0 if math.isinf(limit) else 0.5 * limit
-
-
 def cmd_info(params: ModelParams) -> int:
     grid, quad, basis = build_model(params)
     c_bos, d_bos = hbound_constants(grid, quad)
@@ -72,19 +65,11 @@ def cmd_info(params: ModelParams) -> int:
     return 0
 
 
-def _solve_kappa(params: ModelParams) -> float:
-    if params.kappa is not None:
-        return params.kappa
-    if params.kappa_list:
-        return params.kappa_list[0]
-    raise Phi4LabError("solve needs [coupling] kappa or a nonempty kappa_list")
-
-
 def cmd_solve(params: ModelParams, out_dir: Path) -> int:
+    kappa = params.coupling
     ham = _build(params)
     basis = ham.basis
     consts = compute_constants(ham)
-    kappa = _solve_kappa(params)
     even = ham.even
     state = ground_state(
         even.hkappa(kappa), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
@@ -92,7 +77,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     state.vector = even.embed(state.vector)
     state.top_grade_weight = top_grade_weight(basis, state.vector)
     fam, outcomes = check_state(state, kappa, ham, params)
-    outcomes += _identity_outcomes(params, ham, kappa, fam.epsilon, state=state)
+    outcomes += _identity_outcomes(params, ham, fam, state=state)
     doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
@@ -103,7 +88,9 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     return int(any(o.status == "fail" for o in outcomes))
 
 
-def _identity_outcomes(params, ham, kappa, eps, state=None):
+def _identity_outcomes(params, ham, fam=None, state=None):
+    """The identity suite, then, given the epsilon family ``fam`` (which needs
+    n_max >= MIN_TRUNCATION_FOR_CUBIC), the two inequality checks at it."""
     basis, quad, seed = ham.basis, ham.quadrature, params.seed
     outcomes = [
         check_ccr(ham, seed=seed),
@@ -112,14 +99,15 @@ def _identity_outcomes(params, ham, kappa, eps, state=None):
         check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
         check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
     ]
-    if kappa > 0 and basis.n_max >= 8:
-        outcomes.append(check_hbound(kappa, eps, ham, seed=seed))
-    if basis.n_max >= 8:
-        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
-        psi[~basis.interior_mask(8)] = 0.0
-        nrm = np.linalg.norm(psi)
-        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
-        outcomes.append(check_phi3_bound(psi, kappa, eps, ham))
+    if fam is None:
+        return outcomes
+    if fam.kappa > 0:
+        outcomes.append(check_hbound(fam, ham, seed=seed))
+    psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
+    psi[~basis.interior_mask(8)] = 0.0
+    nrm = np.linalg.norm(psi)
+    psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
+    outcomes.append(check_phi3_bound(psi, fam, ham))
     return outcomes
 
 
@@ -140,11 +128,16 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
 
 def cmd_verify(params: ModelParams, out_dir: Path) -> int:
     ham = _build(params)
-    kappa = params.kappa if params.kappa is not None else (
-        params.kappa_list[0] if params.kappa_list else 0.1
-    )
-    eps = _epsilon_for(params, kappa, ham)
-    outcomes = _identity_outcomes(params, ham, kappa, eps)
+    fam = None
+    if params.n_max >= MIN_TRUNCATION_FOR_CUBIC:
+        # no state to judge at: the family at e0 = 0, at epsilon_value under the
+        # fixed policy, else at half the admissible interval (1 if unbounded)
+        kappa, eps = params.coupling, params.epsilon_value
+        if params.epsilon_policy != "fixed":
+            limit = epsilon_upper_limit(kappa, hbound_constants(ham.grid, ham.quadrature)[0])
+            eps = 1.0 if math.isinf(limit) else 0.5 * limit
+        fam = epsilon_family(eps, kappa, 0.0, ham.grid, ham.quadrature)
+    outcomes = _identity_outcomes(params, ham, fam)
     doc = document("verify", params, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "verify.json")
@@ -153,21 +146,21 @@ def cmd_verify(params: ModelParams, out_dir: Path) -> int:
 
 
 def cmd_report(params: ModelParams, out_dir: Path, input_path: str | None) -> int:
+    """Render ``input_path``, else the newest stored report in ``out_dir``."""
     if input_path is not None:
         candidates = [Path(input_path)]
     else:
-        candidates = [out_dir / "sweep.json", out_dir / "solve.json", out_dir / "verify.json"]
-    for candidate in candidates:
-        if candidate.exists():
-            try:
-                text = render_text(load_json(candidate))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise Phi4LabError(
-                    f"{candidate} is not a phi4lab report ({type(exc).__name__}: {exc})"
-                ) from None
-            print(text, end="")
-            return 0
-    raise Phi4LabError(f"no stored report found among {[str(c) for c in candidates]}")
+        candidates = [out_dir / f"{kind}.json" for kind in ("sweep", "solve", "verify")]
+    stored = [c for c in candidates if c.exists()]
+    if not stored:
+        raise Phi4LabError(f"no stored report found among {[str(c) for c in candidates]}")
+    newest = max(stored, key=lambda c: c.stat().st_mtime_ns)
+    try:
+        text = render_text(load_json(newest))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise Phi4LabError(f"{newest} is not a phi4lab report ({type(exc).__name__}: {exc})") from None
+    print(text, end="")
+    return 0
 
 
 def main(argv=None) -> int:

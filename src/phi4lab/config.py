@@ -178,6 +178,15 @@ class ModelParams:
             )
         return self
 
+    @property
+    def coupling(self) -> float:
+        """The one coupling of ``solve`` and ``verify``: ``kappa``, else the first ``kappa_list`` entry."""
+        if self.kappa is not None:
+            return self.kappa
+        if self.kappa_list:
+            return self.kappa_list[0]
+        raise ConfigError("[coupling] kappa: not set, and kappa_list is empty")
+
     def with_overrides(self, seed: int | None = None, output_dir: str | None = None) -> "ModelParams":
         out = self
         if seed is not None:
@@ -187,43 +196,30 @@ class ModelParams:
         return out
 
 
-def _parse_floats(text: str, section: str, key: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split()]
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from None
-
-
 def _parse_cutoff(parser, section: str, base_dir: Path) -> CutoffSpec | None:
     if not parser.has_section(section):
         return None
     if not parser.has_option(section, "kind"):
         raise ConfigError(f"[{section}] kind: required key missing")
     kind = parser.get(section, "kind").strip()
-    if kind == "tabulated":
-        if parser.has_option(section, "table_file"):
-            path = Path(parser.get(section, "table_file"))
-            if not path.is_absolute():
-                path = base_dir / path
-            try:
-                return load_cutoff_table(path)
-            except OSError as exc:
-                raise ConfigError(f"[{section}] table_file: {exc}") from None
-        if parser.has_option(section, "table"):
-            pairs = []
-            for chunk in parser.get(section, "table").split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                vals = _parse_floats(chunk, section, "table")
-                if len(vals) != 2:
-                    raise ConfigError(f"[{section}] table: entry {chunk!r} is not a pair")
-                pairs.append((vals[0], vals[1]))
-            return CutoffSpec(kind="tabulated", table=tuple(pairs))
+    if kind == "tabulated" and parser.has_option(section, "table_file"):
+        path = Path(parser.get(section, "table_file"))
+        try:
+            return load_cutoff_table(path if path.is_absolute() else base_dir / path)
+        except OSError as exc:
+            raise ConfigError(f"[{section}] table_file: {exc}") from None
+    if kind == "tabulated" and not parser.has_option(section, "table"):
         raise ConfigError(f"[{section}]: tabulated cutoff needs table or table_file")
-    params = tuple(_parse_floats(parser.get(section, "parameters", fallback=""), section, "parameters"))
+    key = "table" if kind == "tabulated" else "parameters"
     try:
-        return CutoffSpec(kind=kind, parameters=params)
+        if kind != "tabulated":
+            return CutoffSpec(kind, parameters=_floats(parser.get(section, key, fallback="")))
+        table = _parse_modes(parser.get(section, key))
+        if any(len(entry) != 2 for entry in table):
+            raise ValueError("every entry must be one point and one value")
+        return CutoffSpec(kind, table=table)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
     except ConfigError as exc:
         raise ConfigError(f"[{section}]: {exc}") from None
 
@@ -231,10 +227,11 @@ def _parse_cutoff(parser, section: str, base_dir: Path) -> CutoffSpec | None:
 def parse_config(path) -> ModelParams:
     """Read and validate a configuration file into ModelParams."""
     path = Path(path)
-    # values are literal ('%' included), and default_section "" matches no
-    # header, so [DEFAULT] is an unknown section rather than inherited
+    # values are literal ('%' and the ';' that separates modes and table entries
+    # included), and default_section "" matches no header, so [DEFAULT] is an
+    # unknown section rather than inherited
     parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#", ";"), default_section="", interpolation=None
+        inline_comment_prefixes=("#",), default_section="", interpolation=None
     )
     try:
         with open(path) as fh:

@@ -63,8 +63,8 @@ def perturbation_constants(ham: HamiltonianSet) -> tuple[float, float, float]:
     With w = HI vac and r the reduced free resolvent applied to w (which
     ignores the vacuum entry of w, and vanishes there):  nu0 = ||r||^2,
     a = <w, r>, b = <r, HI r>.  Computing b exactly requires the interaction
-    applied to a four-quantum vector, hence n_max >= 8; smaller truncations
-    are rejected rather than silently truncated.
+    applied to a four-quantum vector, hence n_max >= MIN_TRUNCATION_FOR_CUBIC
+    (8); smaller truncations are rejected rather than silently truncated.
     """
     basis = ham.basis
     if basis.n_max < MIN_TRUNCATION_FOR_CUBIC:

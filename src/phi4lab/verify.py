@@ -320,8 +320,7 @@ def check_weak_commutator(
 
 
 def check_hbound(
-    kappa: float,
-    epsilon: float,
+    fam: EpsilonFamily,
     ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
@@ -329,12 +328,14 @@ def check_hbound(
 ) -> CheckOutcome:
     """Quadratic-form domination of the free and interaction parts.
 
-    On interior vectors (grades <= n_max - 8):
+    On interior vectors (grades <= n_max - 8), with e = fam.epsilon and
+    k = fam.kappa:
       (1 - c_bos e k) ||H0 v||^2 + k^2 ||HI v||^2
           <= ||H(k) v||^2 + (4 d_bos + c_bos / 4e) k ||v||^2
-    and the divided form with lambda, mu coefficients.
+    and the divided form with the family's lambda, mu coefficients (which do
+    not depend on the family's e0).
     """
-    fam = epsilon_family(epsilon, kappa, 0.0, ham.grid, ham.quadrature)  # lam, mu only
+    epsilon, kappa = fam.epsilon, fam.kappa
     c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
     vectors = (v for block in _interior_blocks(ham.basis, 8, count, seed) for v in block)
     min_slack = math.inf
@@ -367,8 +368,7 @@ def check_hbound(
 
 def check_phi3_bound(
     psi: np.ndarray,
-    kappa: float,
-    epsilon: float,
+    fam: EpsilonFamily,
     ham: HamiltonianSet,
     tol: float = 1e-10,
 ) -> CheckOutcome:
@@ -377,12 +377,12 @@ def check_phi3_bound(
     Pointwise, at every node pair:
       |<phi(x)^3 psi, phi(x')^3 psi>|
           <= Re <phi(x)^4 psi, phi(x')^4 psi> + 1/2 <psi, psi>.
-    Integrated against the chi-weighted double quadrature:
+    Integrated against the chi-weighted double quadrature, with k = fam.kappa
+    and the family's lambda, mu:
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
     psi must live in grades <= n_max - 8.
     """
-    grid, quad = ham.grid, ham.quadrature
-    fam = epsilon_family(epsilon, kappa, 0.0, grid, quad)  # lam, mu only
+    kappa = fam.kappa
     p3 = ham.field_powers(psi, 3)
     p4 = ham.field_powers(p3, 1)
     norm2 = float(np.real(np.vdot(psi, psi)))
@@ -395,7 +395,7 @@ def check_phi3_bound(
     lhs = kappa**2 * integral
     hk_psi = ham.hkappa(kappa)(psi)
     rhs = fam.lam * float(np.linalg.norm(hk_psi)) ** 2 + (
-        fam.mu + 0.5 * kappa**2 * quad.chi_l1**2
+        fam.mu + 0.5 * kappa**2 * ham.quadrature.chi_l1**2
     ) * norm2
     int_viol = _rel(lhs - rhs, abs(rhs))
     worst = max(point_worst, int_viol)
@@ -409,7 +409,7 @@ def check_phi3_bound(
             "pointwise_worst_rel": point_worst,
             "integrated_lhs": lhs,
             "integrated_rhs": rhs,
-            "epsilon": epsilon,
+            "epsilon": fam.epsilon,
             "kappa": kappa,
         },
     )
@@ -773,13 +773,12 @@ def sweep_kappa(
         cfit = 0.0
         fit_over_a = math.nan
         fit_ok = True
-    row_check_failures = [
-        f"kappa={r.kappa!r}: {name}"
+    failures += [
+        f"kappa={r.kappa!r}: {check['name']}"
         for r in rows
-        for name, ok in r.extras.get("check_status", {}).items()
-        if not ok
+        for check in r.extras.get("checks", ())
+        if check["status"] == "fail"
     ]
-    failures.extend(row_check_failures)
     degraded = bool(failures) or not tail_decreasing or not fit_ok
     return SweepReport(
         rows=rows,
@@ -795,7 +794,12 @@ def sweep_kappa(
 
 
 def _sweep_row(ham: HamiltonianSet, row: SweepRow, params: ModelParams) -> SweepRow:
-    """``row``, which holds its coupling's closed-form columns, with the measured ones filled in."""
+    """``row``, which holds its coupling's closed-form columns, with the measured ones filled in.
+
+    ``extras`` keeps the records the row was judged by, as ``solve.json``
+    writes them: ``ground_state`` (the ``SpectralResult`` without its vector)
+    and ``checks`` (the ``check_state`` outcomes).
+    """
     kap = row.kappa
     even = ham.even
     state = ground_state(
@@ -804,28 +808,7 @@ def _sweep_row(ham: HamiltonianSet, row: SweepRow, params: ModelParams) -> Sweep
     state.vector = even.embed(state.vector)
     state.top_grade_weight = top_grade_weight(ham.basis, state.vector)
     fam, outcomes = check_state(state, kap, ham, params)
-    *pt_outcomes, number_outcome, overlap_outcome, arai = outcomes
-    extras = {
-        "epsilon_star": fam.epsilon,
-        "iterations": state.iterations,
-        "restarts": state.restarts,
-        "gap_estimate": state.gap_estimate,
-        "near_degenerate": state.near_degenerate,
-        "pull_through": [
-            {"name": o.name, "status": o.status, "measured": o.measured, "caveat": o.caveat}
-            for o in pt_outcomes
-        ],
-        "check_status": {
-            "pull-through": all(o.status == "pass" for o in pt_outcomes),
-            "boson-number-bound": number_outcome.passed,
-            "vacuum-overlap": overlap_outcome.passed,
-        },
-    }
-    if arai.status == "skipped":
-        extras["arai"] = {"skipped": arai.context["reason"]}
-    else:
-        extras["arai"] = arai.context
-        extras["check_status"]["eigenprojection-identities"] = arai.passed
+    measured = {o.name: o.measured for o in outcomes}
     e_abs = abs(state.e0 - row.c1_kappa)
     return replace(
         row,
@@ -833,10 +816,14 @@ def _sweep_row(ham: HamiltonianSet, row: SweepRow, params: ModelParams) -> Sweep
         residual=state.residual,
         e_abs=e_abs,
         e_over_kappa=e_abs / kap if kap > 0 else 0.0,
-        n_expect=number_outcome.measured,
+        n_expect=measured["boson-number-bound"],
         c_eps_kappa=fam.c_number,
-        overlap=abs(state.vector[0]),
-        pullthrough_resid=max(o.measured for o in pt_outcomes),
+        overlap=measured["vacuum-overlap"],
+        pullthrough_resid=max(m for name, m in measured.items() if name.startswith("pull-through")),
         top_grade_weight=state.top_grade_weight,
-        extras=extras,
+        extras={
+            "epsilon_star": fam.epsilon,
+            "ground_state": {key: v for key, v in vars(state).items() if key != "vector"},
+            "checks": [vars(o) for o in outcomes],
+        },
     )

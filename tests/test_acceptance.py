@@ -181,14 +181,14 @@ class TestCriterion3InequalitySuite:
         dham = HamiltonianSet(dbasis, dgrid, dquad)
         kappa = 0.05
         state12 = ground_state(dham.hkappa(kappa), dbasis.dim, tol=1e-11, seed=7)
-        eps = optimize_epsilon(kappa, state12.e0, dgrid, dquad).epsilon
+        fam12 = optimize_epsilon(kappa, state12.e0, dgrid, dquad)
         outcomes.append(
-            check_hbound(kappa, eps, dham, count=100, seed=6)
+            check_hbound(fam12, dham, count=100, seed=6)
         )
         psi = state12.vector.copy()
         psi[~dbasis.interior_mask(8)] = 0.0
         psi /= np.linalg.norm(psi)
-        outcomes.append(check_phi3_bound(psi, kappa, eps, dham))
+        outcomes.append(check_phi3_bound(psi, fam12, dham))
         # number bound and overlap on the reference model at its coupling
         state8 = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-11, seed=7)
         choice = optimize_epsilon(kappa, state8.e0, grid, quad)
@@ -326,13 +326,16 @@ class TestCriterion7EigenprojectionIdentities:
             if not (row.kappa > 0 and row.e0 < min_omega):
                 continue
             eligible += 1
-            arai = row.extras["arai"]
+            [arai] = [
+                c["context"] for c in row.extras["checks"] if c["name"] == "eigenprojection-identities"
+            ]
             worst_energy = max(worst_energy, arai["energy_residual"] / max(1.0, row.e0))
             worst_vector = max(worst_vector, arai["vector_residual"])
         tilde_norms = [
-            row.extras["arai"]["tilde_norm"]
+            c["context"]["tilde_norm"]
             for row in report.rows
-            if "tilde_norm" in row.extras.get("arai", {})
+            for c in row.extras.get("checks", ())
+            if "tilde_norm" in c["context"]
         ]
         monotone = all(a > b for a, b in zip(tilde_norms, tilde_norms[1:]))
         ok = (

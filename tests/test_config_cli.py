@@ -75,8 +75,13 @@ class TestConfigParsing:
             {"output.dump_vectors": "true"},
             {"coupling.kappa": None, "coupling.kappa_list": None},  # empty [coupling]
             {"output.directory": "out%1"},  # values are literal, no '%' interpolation
+            # ' ; ' separates modes and table entries and starts no comment
+            {"grid.modes": "-1 ; 0 ; 1", "grid.weights": "1 1 1", "uv_cutoff.table": "0 1 ; 2 0.5"},
         ],
-        ids=["modes", "modes-and-kmax", "fixed-epsilon", "dump-vectors", "empty-coupling", "percent"],
+        ids=[
+            "modes", "modes-and-kmax", "fixed-epsilon", "dump-vectors", "empty-coupling", "percent",
+            "three-modes",
+        ],
     )
     def test_round_trip_explicit_modes(self, tmp_path, overrides):
         params = parse_config(write_config(tmp_path, **overrides))
@@ -97,6 +102,7 @@ class TestConfigParsing:
             ("truncation.n_mx", 20, "[truncation] n_mx: unknown key"),
             ("spatial_cutoff.radius", 1, "[spatial_cutoff] radius: unknown key"),
             ("grid.modes", None, "[grid] weights"),  # weights without modes
+            ("uv_cutoff.table", "0 1 ; 2", "[uv_cutoff] table"),  # an entry is no pair
         ],
     )
     def test_field_precise_errors(self, tmp_path, dotted, value, needle):
@@ -220,6 +226,41 @@ class TestCli:
         assert "[PASS]" in out
         doc = json.loads((tmp_path / "o" / "verify.json").read_text())
         assert doc["all_passed"]
+
+    def test_verify_coupling_needed_only_for_the_inequality_checks(self, tmp_path, capsys):
+        empty = {"coupling.kappa": None, "coupling.kappa_list": None}
+        path = write_config(tmp_path, **empty)
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "[coupling] kappa" in capsys.readouterr().err
+        # below n_max 8 verify runs the identity checks alone, which take no coupling
+        path = write_config(tmp_path, **empty, **{"truncation.n_max": 6})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_sweep_row_keeps_the_records_solve_writes(self, tmp_path, capsys):
+        path = write_config(tmp_path)  # kappa = 0.1, the first kappa_list entry
+        out = tmp_path / "o"
+        for command in ("sweep", "solve"):
+            main([command, "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        sweep, solve = (json.loads((out / f"{kind}.json").read_text()) for kind in ("sweep", "solve"))
+        extras = sweep["rows"][0]["extras"]
+        assert sweep["rows"][0]["kappa"] == solve["kappa"] == 0.1
+        assert list(extras) == ["epsilon_star", "ground_state", "checks"]
+        assert extras["ground_state"] == solve["ground_state"]
+        assert extras["checks"] == solve["checks"][: len(extras["checks"])]
+
+    def test_report_renders_the_newest_stored_report(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        for command in ("sweep", "solve"):
+            main([command, "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        for newest, older in (("solve", "sweep"), ("sweep", "solve")):
+            os.utime(out / f"{older}.json", ns=(10**18, 10**18))
+            os.utime(out / f"{newest}.json", ns=(2 * 10**18, 2 * 10**18))
+            assert main(["report", "--config", str(path), "--out", str(out)]) == 0
+            assert capsys.readouterr().out.startswith(f"phi4lab {newest} report\n")
 
     def test_report_rerenders_sweep(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"coupling.kappa_list": "0.1 0.05"})

@@ -10,7 +10,6 @@ from oracles import DenseModel
 from phi4lab import (
     ConfigError,
     CutoffSpec,
-    EpsilonOutOfRange,
     NoConvergence,
     SpectralConditionViolated,
     apply_smeared,
@@ -32,7 +31,6 @@ from phi4lab import (
     enumerate_basis,
     epsilon_family,
     ground_state,
-    hbound_constants,
     optimize_epsilon,
     sweep_kappa,
 )
@@ -211,33 +209,37 @@ class TestInequalitySuite:
         # n_max = 8 leaves only the vacuum interior at reach 8: the bound
         # reduces to kappa^2 ||HI vac||^2 <= same + positive terms
         grid, quad, basis, ham = reference_model
-        outcome = check_hbound(0.1, 1e-3, ham, count=10, seed=5)
+        outcome = check_hbound(epsilon_family(1e-3, 0.1, 0.0, grid, quad), ham, count=10, seed=5)
         assert outcome.passed
         assert outcome.context["min_slack"] >= 0.0
 
-    def test_epsilon_at_either_end_of_the_interval_rejected(self, reference_model):
-        grid, quad, basis, ham = reference_model
-        kappa = 0.1
-        c_bos, _ = hbound_constants(grid, quad)
-        for epsilon in (0.0, 1.0 / (c_bos * kappa)):
-            with pytest.raises(EpsilonOutOfRange):
-                check_hbound(kappa, epsilon, ham, count=1)
-            with pytest.raises(EpsilonOutOfRange):
-                check_phi3_bound(basis.vacuum(), kappa, epsilon, ham)
+    def test_bounds_judged_at_the_family_given(self, deep_reference):
+        # the checks read only lam and mu, which do not depend on the family's
+        # e0: the family of a state and the state-free one at e0 = 0 agree
+        grid, quad, basis, ham = deep_reference
+        psi = draw_interior_vectors(basis, 8, 1, seed=11)[0]
+        at_state, state_free = (epsilon_family(1e-3, 0.05, e0, grid, quad) for e0 in (0.5, 0.0))
+        assert at_state.c_number != state_free.c_number
+        for outcome, again in (
+            (check_hbound(at_state, ham, count=5, seed=12), check_hbound(state_free, ham, count=5, seed=12)),
+            (check_phi3_bound(psi, at_state, ham), check_phi3_bound(psi, state_free, ham)),
+        ):
+            assert outcome.passed and outcome == again
+            assert (outcome.context["epsilon"], outcome.context["kappa"]) == (1e-3, 0.05)
 
     def test_hbound_zero_coupling_is_equality(self, deep_reference):
         grid, quad, basis, ham = deep_reference
-        outcome = check_hbound(0.0, 1.0, ham, count=20, seed=6)
+        outcome = check_hbound(epsilon_family(1.0, 0.0, 0.0, grid, quad), ham, count=20, seed=6)
         assert outcome.passed
 
     def test_hbound_deep_truncation(self, deep_reference):
         grid, quad, basis, ham = deep_reference
-        outcome = check_hbound(0.1, 9e-4, ham, count=100, seed=7)
+        outcome = check_hbound(epsilon_family(9e-4, 0.1, 0.0, grid, quad), ham, count=100, seed=7)
         assert outcome.passed, outcome.context
 
     def test_phi3_bound_vacuum_zero_coupling(self, reference_model):
         grid, quad, basis, ham = reference_model
-        outcome = check_phi3_bound(basis.vacuum(), 0.0, 1.0, ham)
+        outcome = check_phi3_bound(basis.vacuum(), epsilon_family(1.0, 0.0, 0.0, grid, quad), ham)
         assert outcome.passed
 
     def test_phi3_bound_single_node_reduces_to_pointwise(self):
@@ -245,7 +247,7 @@ class TestInequalitySuite:
         ham = HamiltonianSet(basis, grid, quad)
         assert quad.num_nodes == 1
         psi = draw_interior_vectors(basis, 8, 1, seed=8)[0]
-        outcome = check_phi3_bound(psi, 0.05, 1e-3, ham)
+        outcome = check_phi3_bound(psi, epsilon_family(1e-3, 0.05, 0.0, grid, quad), ham)
         assert outcome.passed
 
     def test_phi3_bound_on_interior_ground_state(self, deep_reference):
@@ -255,8 +257,7 @@ class TestInequalitySuite:
         psi = state.vector.copy()
         psi[~basis.interior_mask(8)] = 0.0
         psi /= np.linalg.norm(psi)
-        eps = optimize_epsilon(kappa, state.e0, grid, quad).epsilon
-        outcome = check_phi3_bound(psi, kappa, eps, ham)
+        outcome = check_phi3_bound(psi, optimize_epsilon(kappa, state.e0, grid, quad), ham)
         assert outcome.passed, outcome.context
 
     def test_number_bound_zero_coupling(self, reference_model):
@@ -528,6 +529,15 @@ class TestSweep:
             assert 0.0 <= row.e0 <= row.c1_kappa
             assert row.e0 <= row.rayleigh_bound + 1e-10
 
+    def test_failures_name_each_failed_check(self, reference_model):
+        # below the solver's own accuracy no pull-through mode may pass, not
+        # even with the truncation caveat
+        grid, quad, basis, ham = reference_model
+        params = ModelParams(kappa_list=(0.05,), pull_tol=1e-30, seed=27)
+        report = sweep_kappa(ham, compute_constants(ham), params)
+        assert report.failures == [f"kappa=0.05: pull-through[mode {i}]" for i in range(3)]
+        assert report.degraded and not report.rows[0].failed
+
     def test_sweep_deterministic(self, reference_model):
         grid, quad, basis, ham = reference_model
         consts = compute_constants(ham)
@@ -560,7 +570,10 @@ class TestSweep:
         overlaps = [r.overlap for r in report.rows]
         assert all(a < b for a, b in zip(overlaps, overlaps[1:]))
         tilde_norms = [
-            r.extras["arai"]["tilde_norm"] for r in report.rows if "tilde_norm" in r.extras["arai"]
+            c["context"]["tilde_norm"]
+            for r in report.rows
+            for c in r.extras["checks"]
+            if "tilde_norm" in c["context"]
         ]
         assert all(a > b for a, b in zip(tilde_norms, tilde_norms[1:]))
         assert tilde_norms[-1] == pytest.approx(1.0, abs=1e-4)
