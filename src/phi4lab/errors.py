@@ -29,6 +29,9 @@ class BasisTooLarge(Phi4LabError):
         self.dim = dim
         self.cap = cap
 
+    def __reduce__(self):  # rebuilt from (dim, cap), so it survives a pipe between processes
+        return type(self), (self.dim, self.cap)
+
 
 class TruncationTooSmall(Phi4LabError):
     """Occupation truncation too small for the requested quantity."""

@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -14,6 +15,15 @@ from phi4lab import (
 )
 from phi4lab.fock import OperatorHandle, apply_smeared
 from phi4lab.hamiltonian import HamiltonianSet
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test after which a child process still runs: the CLI's check
+    process must be joined on every exit path."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still running: {left}"
 
 
 def make_reference(n_max=8):
