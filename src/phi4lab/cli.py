@@ -72,7 +72,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     kappa = params.coupling
     ham = _build(params)
     basis = ham.basis
-    with _beside(lambda: [check() for check in _identity_checks(params, ham)]) as identity_outcomes:
+    with _beside(lambda: check_ccr(ham, seed=params.seed)) as ccr:
         consts = compute_constants(ham)
         even = ham.even
         state = ground_state(
@@ -81,8 +81,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
         state.vector = even.embed(state.vector)
         state.top_grade_weight = top_grade_weight(basis, state.vector)
         fam, outcomes = check_state(state, kappa, ham, params)
-        bounds = _inequality_outcomes(params, ham, fam, state)
-        outcomes += identity_outcomes() + bounds
+        outcomes += _identity_outcomes(params, ham, ccr, fam, state=state)
     doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
@@ -96,7 +95,10 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
 @contextlib.contextmanager
 def _beside(job):
     """Yield a call that returns ``job()``'s result, or raises its error, from a child forked
-    to run it beside the ``with`` body; with one allowed CPU (or outside Linux), ``job``."""
+    to run it beside the ``with`` body; with one allowed CPU (or outside Linux), ``job``.
+    Keep ``job`` to a quarter of the command's work or less: the command's wall time then
+    holds while the child runs at a third of the command's speed or more, whatever else
+    loads the child's CPU (README, "Processes")."""
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
     if len(allowed) < 2:
         yield job
@@ -130,28 +132,26 @@ def _beside(job):
         receive.close()
 
 
-def _identity_checks(params, ham):
-    """The five identity checks as zero-argument calls, in report order."""
-    quad, seed = ham.quadrature, params.seed
-    return [
-        lambda: check_ccr(ham, seed=seed),
-        lambda: check_free_commutators(ham, seed=seed),
-        lambda: check_ladder_bounds(ham, seed=seed),
-        lambda: check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
-        lambda: check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
+def _identity_outcomes(params, ham, ccr, fam=None, state=None):
+    """The identity suite, then, given the epsilon family ``fam`` (which needs
+    n_max >= MIN_TRUNCATION_FOR_CUBIC), the two inequality checks at it. The
+    CCR check's outcome comes from the call ``ccr``, asked for last."""
+    basis, quad, seed = ham.basis, ham.quadrature, params.seed
+    outcomes = [
+        check_free_commutators(ham, seed=seed),
+        check_ladder_bounds(ham, seed=seed),
+        check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
+        check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
     ]
-
-
-def _inequality_outcomes(params, ham, fam, state=None):
-    """The two inequality checks at the epsilon family ``fam``."""
-    basis, seed = ham.basis, params.seed
-    outcomes = [check_hbound(fam, ham, seed=seed)] if fam.kappa > 0 else []
-    psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
-    psi[~basis.interior_mask(8)] = 0.0
-    nrm = np.linalg.norm(psi)
-    psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
-    outcomes.append(check_phi3_bound(psi, fam, ham))
-    return outcomes
+    if fam is not None:
+        if fam.kappa > 0:
+            outcomes.append(check_hbound(fam, ham, seed=seed))
+        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
+        psi[~basis.interior_mask(8)] = 0.0
+        nrm = np.linalg.norm(psi)
+        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
+        outcomes.append(check_phi3_bound(psi, fam, ham))
+    return [ccr()] + outcomes
 
 
 def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
@@ -180,10 +180,8 @@ def cmd_verify(params: ModelParams, out_dir: Path) -> int:
             limit = epsilon_upper_limit(kappa, hbound_constants(ham.grid, ham.quadrature)[0])
             eps = 1.0 if math.isinf(limit) else 0.5 * limit
         fam = epsilon_family(eps, kappa, 0.0, ham.grid, ham.quadrature)
-    checks = _identity_checks(params, ham)
-    with _beside(lambda: [check() for check in checks[:2]]) as first_two:  # half the suite's time
-        rest = [check() for check in checks[2:]] + (_inequality_outcomes(params, ham, fam) if fam else [])
-        outcomes = first_two() + rest
+    with _beside(lambda: check_ccr(ham, seed=params.seed)) as ccr:
+        outcomes = _identity_outcomes(params, ham, ccr, fam)
     doc = document("verify", params, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "verify.json")

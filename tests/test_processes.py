@@ -15,6 +15,13 @@ from phi4lab import cli, errors
 from phi4lab.errors import NoConvergence, Phi4LabError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
+IDENTITY_CHECKS = (
+    "check_ccr",
+    "check_free_commutators",
+    "check_ladder_bounds",
+    "check_double_commutator",
+    "check_weak_commutator",
+)
 ERRORS = sorted(
     (cls for _, cls in inspect.getmembers(errors, inspect.isclass) if issubclass(cls, Phi4LabError)),
     key=lambda cls: cls.__name__,
@@ -75,6 +82,19 @@ def test_only_the_child_is_held_off_one_cpu(two_cpus):
         assert os.sched_getaffinity(0) == two_cpus
         child_cpus = result()
     assert child_cpus < two_cpus and len(child_cpus) == len(two_cpus) - 1
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_the_child_runs_the_ccr_check_only(command, two_cpus, monkeypatch, tmp_path):
+    """The small share `_beside`'s docstring asks for: 15-25% of the work on the benchmark models."""
+    for name in IDENTITY_CHECKS:
+        def recorded(*args, _name=name, _check=getattr(cli, name), **kwargs):
+            (tmp_path / _name).write_text(str(os.getpid()))
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, recorded)
+    cli.main([command, "--config", str(REFERENCE), "--out", str(tmp_path / "out")])
+    assert [name for name in IDENTITY_CHECKS if (tmp_path / name).read_text() != str(os.getpid())] == ["check_ccr"]
 
 
 @pytest.mark.parametrize("one_cpu", [False, True], ids=["forked", "one-cpu"])
