@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import multiprocessing
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import ModelParams, build_model, parse_config
 from .errors import Phi4LabError
@@ -25,24 +22,13 @@ from .grid import cutoff_norm
 from .hamiltonian import HamiltonianSet
 from .report import document, load_json, render_text, write_json, write_sweep_csv
 from .spectral import ground_state
-from .theory import (
-    MIN_TRUNCATION_FOR_CUBIC,
-    compute_constants,
-    epsilon_family,
-    epsilon_upper_limit,
-    first_order_coefficient,
-    hbound_constants,
-)
+from .theory import compute_constants, first_order_coefficient, hbound_constants
 from .verify import (
+    INEQUALITY_REACH,
     check_ccr,
-    check_double_commutator,
-    check_free_commutators,
-    check_hbound,
-    check_ladder_bounds,
-    check_phi3_bound,
     check_state,
-    check_weak_commutator,
-    draw_interior_vectors,
+    epsilon_for,
+    suite_outcomes,
     sweep_kappa,
     top_grade_weight,
 )
@@ -81,7 +67,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
         state.vector = even.embed(state.vector)
         state.top_grade_weight = top_grade_weight(basis, state.vector)
         fam, outcomes = check_state(state, kappa, ham, params)
-        outcomes += _identity_outcomes(params, ham, ccr, fam, state=state)
+        outcomes += suite_outcomes(ham, params.seed, ccr, fam, state=state)
     doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
@@ -95,16 +81,18 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
 @contextlib.contextmanager
 def _beside(job):
     """Yield a call that returns ``job()``'s result, or raises its error, from a child forked
-    to run it beside the ``with`` body; with one allowed CPU (or outside Linux), ``job``.
+    to run it beside the ``with`` body; with one allowed CPU, or no current CPU to read, ``job``.
     Keep ``job`` to a quarter of the command's work or less: the command's wall time then
     holds while the child runs at a third of the command's speed or more, whatever else
     loads the child's CPU (README, "Processes")."""
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    try:  # the child keeps off the command's current CPU: left free, the scheduler often ran both there
+        here = int(Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()[36])
+    except OSError:  # no /proc, or Linux before 3.17: run the job here, as with one allowed CPU
+        allowed = set()
     if len(allowed) < 2:
         yield job
         return
-    # the child keeps off the command's current CPU: left free, the scheduler often ran both there
-    here = int(Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()[36])
     receive, send = multiprocessing.Pipe(duplex=False)
     def answer():
         os.sched_setaffinity(0, allowed - {here})
@@ -132,28 +120,6 @@ def _beside(job):
         receive.close()
 
 
-def _identity_outcomes(params, ham, ccr, fam=None, state=None):
-    """The identity suite, then, given the epsilon family ``fam`` (which needs
-    n_max >= MIN_TRUNCATION_FOR_CUBIC), the two inequality checks at it. The
-    CCR check's outcome comes from the call ``ccr``, asked for last."""
-    basis, quad, seed = ham.basis, ham.quadrature, params.seed
-    outcomes = [
-        check_free_commutators(ham, seed=seed),
-        check_ladder_bounds(ham, seed=seed),
-        check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
-        check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
-    ]
-    if fam is not None:
-        if fam.kappa > 0:
-            outcomes.append(check_hbound(fam, ham, seed=seed))
-        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
-        psi[~basis.interior_mask(8)] = 0.0
-        nrm = np.linalg.norm(psi)
-        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, 8, 1, seed)[0]
-        outcomes.append(check_phi3_bound(psi, fam, ham))
-    return [ccr()] + outcomes
-
-
 def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
     ham = _build(params)
     report = sweep_kappa(ham, compute_constants(ham), params)
@@ -171,17 +137,10 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
 
 def cmd_verify(params: ModelParams, out_dir: Path) -> int:
     ham = _build(params)
-    fam = None
-    if params.n_max >= MIN_TRUNCATION_FOR_CUBIC:
-        # no state to judge at: the family at e0 = 0, at epsilon_value under the
-        # fixed policy, else at half the admissible interval (1 if unbounded)
-        kappa, eps = params.coupling, params.epsilon_value
-        if params.epsilon_policy != "fixed":
-            limit = epsilon_upper_limit(kappa, hbound_constants(ham.grid, ham.quadrature)[0])
-            eps = 1.0 if math.isinf(limit) else 0.5 * limit
-        fam = epsilon_family(eps, kappa, 0.0, ham.grid, ham.quadrature)
+    # no state to judge at: the inequality checks take the policy's family at e0 = 0
+    fam = epsilon_for(params.coupling, 0.0, ham, params) if params.n_max >= INEQUALITY_REACH else None
     with _beside(lambda: check_ccr(ham, seed=params.seed)) as ccr:
-        outcomes = _identity_outcomes(params, ham, ccr, fam)
+        outcomes = suite_outcomes(ham, params.seed, ccr, fam)
     doc = document("verify", params, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "verify.json")

@@ -206,7 +206,7 @@ def _parse_cutoff(parser, section: str, base_dir: Path) -> CutoffSpec | None:
         path = Path(parser.get(section, "table_file"))
         try:
             return load_cutoff_table(path if path.is_absolute() else base_dir / path)
-        except OSError as exc:
+        except (OSError, ValueError, ConfigError) as exc:  # unreadable, not numeric, ragged or invalid
             raise ConfigError(f"[{section}] table_file: {exc}") from None
     if kind == "tabulated" and not parser.has_option(section, "table"):
         raise ConfigError(f"[{section}]: tabulated cutoff needs table or table_file")
@@ -234,9 +234,9 @@ def parse_config(path) -> ModelParams:
         inline_comment_prefixes=("#",), default_section="", interpolation=None
     )
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from None

@@ -35,6 +35,8 @@ from .theory import (
 
 _FLOOR = 1e-300
 TOP_GRADE_REACH = 4
+# grade reach of the inequality checks' vectors; below it their interior is empty
+INEQUALITY_REACH = 8
 # relative size at which the interior truncation defect counts as roundoff
 DEFECT_ROUNDOFF = 1e-12
 # rows per block of the batched identity checks; at dim 5,005 blocks of 100 and
@@ -328,7 +330,7 @@ def check_hbound(
 ) -> CheckOutcome:
     """Quadratic-form domination of the free and interaction parts.
 
-    On interior vectors (grades <= n_max - 8), with e = fam.epsilon and
+    On interior vectors (grades <= n_max - INEQUALITY_REACH), with e = fam.epsilon and
     k = fam.kappa:
       (1 - c_bos e k) ||H0 v||^2 + k^2 ||HI v||^2
           <= ||H(k) v||^2 + (4 d_bos + c_bos / 4e) k ||v||^2
@@ -337,7 +339,7 @@ def check_hbound(
     """
     epsilon, kappa = fam.epsilon, fam.kappa
     c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
-    vectors = (v for block in _interior_blocks(ham.basis, 8, count, seed) for v in block)
+    vectors = (v for block in _interior_blocks(ham.basis, INEQUALITY_REACH, count, seed) for v in block)
     min_slack = math.inf
     worst = -math.inf
     for v in vectors:
@@ -362,7 +364,7 @@ def check_hbound(
         status,
         worst,
         tol,
-        {"count": count, "reach": 8, "min_slack": min_slack, "epsilon": epsilon, "kappa": kappa},
+        {"count": count, "reach": INEQUALITY_REACH, "min_slack": min_slack, "epsilon": epsilon, "kappa": kappa},
     )
 
 
@@ -380,7 +382,7 @@ def check_phi3_bound(
     Integrated against the chi-weighted double quadrature, with k = fam.kappa
     and the family's lambda, mu:
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
-    psi must live in grades <= n_max - 8.
+    psi must live in grades <= n_max - INEQUALITY_REACH.
     """
     kappa = fam.kappa
     p3 = ham.field_powers(psi, 3)
@@ -647,6 +649,14 @@ def check_arai_identities(
     )
 
 
+def epsilon_for(kappa: float, e0: float, ham: HamiltonianSet, params: ModelParams) -> EpsilonFamily:
+    """The ``EpsilonFamily`` at (kappa, e0) that ``[epsilon] policy`` picks: at
+    ``epsilon_value`` under "fixed", else at the optimal epsilon (``optimize_epsilon``)."""
+    if params.epsilon_policy == "fixed":
+        return epsilon_family(params.epsilon_value, kappa, e0, ham.grid, ham.quadrature)
+    return optimize_epsilon(kappa, e0, ham.grid, ham.quadrature)
+
+
 def check_state(
     state: SpectralResult,
     kappa: float,
@@ -656,18 +666,13 @@ def check_state(
     """Every check of one computed ground state, as ``solve`` and ``sweep`` run them.
 
     ``params`` gives the pull-through tolerance ``pull_tol``, the CG tolerance
-    ``lin_tol`` and the epsilon policy: "optimized" takes the optimal epsilon
-    (``optimize_epsilon``), "fixed" takes ``epsilon_value``; the
+    ``lin_tol`` and the epsilon policy (``epsilon_for`` at the state's e0); the
     ``EpsilonFamily`` at the epsilon used comes back with the outcomes.
     Outcomes come in report order: pull-through per mode, boson-number bound,
     vacuum overlap, eigenprojection identities (status "skipped" with the
     reason when their spectral condition fails).
     """
-    grid, quad = ham.grid, ham.quadrature
-    if params.epsilon_policy == "fixed":
-        fam = epsilon_family(params.epsilon_value, kappa, state.e0, grid, quad)
-    else:
-        fam = optimize_epsilon(kappa, state.e0, grid, quad)
+    fam = epsilon_for(kappa, state.e0, ham, params)
     outcomes = check_pull_through(state, kappa, ham, tol=params.pull_tol, lin_tol=params.lin_tol)
     outcomes.append(check_number_bound(state, fam, ham))
     outcomes.append(check_overlap(state, ham.basis, c_number=fam.c_number))
@@ -678,6 +683,30 @@ def check_state(
             CheckOutcome("eigenprojection-identities", "skipped", math.nan, math.nan, {"reason": str(exc)})
         )
     return fam, outcomes
+
+
+def suite_outcomes(ham: HamiltonianSet, seed: int, ccr, fam=None, state=None) -> list[CheckOutcome]:
+    """The identity suite, then, given the epsilon family ``fam`` (which needs
+    n_max >= INEQUALITY_REACH), the two inequality checks at it: the h-bound when
+    kappa > 0, and the cubic-field bound on ``state``'s vector projected to the
+    interior (a drawn interior vector without a state or when nothing is left).
+    The CCR check's outcome comes from the call ``ccr``, asked for last and reported first."""
+    basis, quad = ham.basis, ham.quadrature
+    outcomes = [
+        check_free_commutators(ham, seed=seed),
+        check_ladder_bounds(ham, seed=seed),
+        check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
+        check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
+    ]
+    if fam is not None:
+        if fam.kappa > 0:
+            outcomes.append(check_hbound(fam, ham, seed=seed))
+        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
+        psi[~basis.interior_mask(INEQUALITY_REACH)] = 0.0
+        nrm = np.linalg.norm(psi)
+        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, INEQUALITY_REACH, 1, seed)[0]
+        outcomes.append(check_phi3_bound(psi, fam, ham))
+    return [ccr()] + outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 import phi4lab
 from phi4lab import ConfigError, config, load_vector, parse_config, render_config
 from phi4lab.cli import main
+from phi4lab.theory import optimize_epsilon
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
 
@@ -143,6 +144,12 @@ class TestConfigParsing:
         path.write_text(text)
         params = parse_config(path)
         assert params.uv_cutoff.kind == "tabulated"
+        # every bad table names its key and exits 2: not numeric, ragged, not increasing, three columns
+        for bad in ("0 1\n2 abc\n", "0 1\n2\n", "2 1\n0 1\n", "0 1 1\n2 1 1\n"):
+            table.write_text(bad)
+            with pytest.raises(ConfigError, match=r"\[uv_cutoff\] table_file"):
+                parse_config(path)
+            assert main(["info", "--config", str(path)]) == 2
 
 
 class TestCli:
@@ -236,6 +243,18 @@ class TestCli:
         path = write_config(tmp_path, **empty, **{"truncation.n_max": 6})
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("policy", ["optimized", "fixed"])
+    def test_verify_judges_the_inequality_checks_at_the_policys_epsilon(self, policy, tmp_path, capsys):
+        path = write_config(tmp_path, **{"epsilon.policy": policy, "epsilon.value": 0.01})
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        params = parse_config(path)
+        grid, quad, _ = config.build_model(params)
+        expected = 0.01 if policy == "fixed" else optimize_epsilon(params.kappa, 0.0, grid, quad).epsilon
+        checks = {c["name"]: c for c in json.loads((tmp_path / "o" / "verify.json").read_text())["checks"]}
+        assert checks["h-bound"]["context"]["epsilon"] == expected
+        assert checks["cubic-field-bound"]["context"]["epsilon"] == expected
 
     def test_sweep_row_keeps_the_records_solve_writes(self, tmp_path, capsys):
         path = write_config(tmp_path)  # kappa = 0.1, the first kappa_list entry
@@ -332,9 +351,13 @@ class TestCli:
             "fit_over_a", "fit_within_factor3", "degraded", "failures",
         ]
 
-    def test_missing_config_exit_2(self, capsys):
+    def test_missing_config_exit_2(self, tmp_path, capsys):
         assert main(["info", "--config", "/nonexistent.ini"]) == 2
         assert "error" in capsys.readouterr().err
+        not_utf8 = write_config(tmp_path)  # a Latin-1 comment: unreadable whatever the locale
+        not_utf8.write_bytes("# café\n".encode("latin-1") + not_utf8.read_bytes())
+        assert main(["info", "--config", str(not_utf8)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
 
     def test_invalid_config_exit_2(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"model.mass": -5.0})

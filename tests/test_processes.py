@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from phi4lab import cli, errors
+from phi4lab import cli, errors, verify
 from phi4lab.errors import NoConvergence, Phi4LabError
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -88,11 +88,12 @@ def test_only_the_child_is_held_off_one_cpu(two_cpus):
 def test_the_child_runs_the_ccr_check_only(command, two_cpus, monkeypatch, tmp_path):
     """The small share `_beside`'s docstring asks for: 15-25% of the work on the benchmark models."""
     for name in IDENTITY_CHECKS:
-        def recorded(*args, _name=name, _check=getattr(cli, name), **kwargs):
+        module = cli if name == "check_ccr" else verify
+        def recorded(*args, _name=name, _check=getattr(module, name), **kwargs):
             (tmp_path / _name).write_text(str(os.getpid()))
             return _check(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, recorded)
+        monkeypatch.setattr(module, name, recorded)
     cli.main([command, "--config", str(REFERENCE), "--out", str(tmp_path / "out")])
     assert [name for name in IDENTITY_CHECKS if (tmp_path / name).read_text() != str(os.getpid())] == ["check_ccr"]
 
@@ -107,7 +108,7 @@ def test_the_commands_own_error_wins_over_the_childs(one_cpu, monkeypatch, tmp_p
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(cli, "check_ccr", fail(NoConvergence("ccr: the child's error")))
-    monkeypatch.setattr(cli, "check_ladder_bounds", fail(NoConvergence("ladder: the command's error")))
+    monkeypatch.setattr(verify, "check_ladder_bounds", fail(NoConvergence("ladder: the command's error")))
     assert cli.main(["verify", "--config", str(REFERENCE), "--out", str(tmp_path)]) == 2
     assert "the command's error" in capsys.readouterr().err
 
@@ -117,11 +118,21 @@ def test_one_cpu_fallback_writes_the_same_report(command, report, two_cpus, monk
     config = tmp_path / "reference10.ini"
     config.write_text(REFERENCE.read_text().replace("n_max = 8", "n_max = 10"))
     argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+    read_text = Path.read_text
+
+    def no_thread_stat(path, *args, **kwargs):  # a kernel without /proc/thread-self, or no /proc
+        if path == Path("/proc/thread-self/stat"):
+            raise FileNotFoundError(2, "No such file or directory", str(path))
+        return read_text(path, *args, **kwargs)
+
     runs = []
-    for one_cpu in (False, True):
-        if one_cpu:
+    for fallback in (None, "one-cpu", "no-proc"):
+        monkeypatch.undo()
+        if fallback == "one-cpu":
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if fallback == "no-proc":
+            monkeypatch.setattr(Path, "read_text", no_thread_stat)
         code = cli.main(argv)
         runs.append((code, (tmp_path / "out" / report).read_bytes(), capsys.readouterr().out))
     assert runs[0][0] == 0
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
