@@ -9,9 +9,6 @@ the document they write.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import multiprocessing
-import os
 import sys
 from pathlib import Path
 
@@ -23,15 +20,7 @@ from .hamiltonian import HamiltonianSet
 from .report import document, load_json, render_text, write_json, write_sweep_csv
 from .spectral import ground_state
 from .theory import compute_constants, first_order_coefficient, hbound_constants
-from .verify import (
-    INEQUALITY_REACH,
-    check_ccr,
-    check_state,
-    epsilon_for,
-    suite_outcomes,
-    sweep_kappa,
-    top_grade_weight,
-)
+from .verify import command_outcomes, sweep_kappa, top_grade_weight
 
 
 def _build(params: ModelParams) -> HamiltonianSet:
@@ -58,16 +47,14 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     kappa = params.coupling
     ham = _build(params)
     basis = ham.basis
-    with _beside(lambda: check_ccr(ham, seed=params.seed)) as ccr:
-        consts = compute_constants(ham)
-        even = ham.even
-        state = ground_state(
-            even.hkappa(kappa), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
-        )
-        state.vector = even.embed(state.vector)
-        state.top_grade_weight = top_grade_weight(basis, state.vector)
-        fam, outcomes = check_state(state, kappa, ham, params)
-        outcomes += suite_outcomes(ham, params.seed, ccr, fam, state=state)
+    consts = compute_constants(ham)
+    even = ham.even
+    state = ground_state(
+        even.hkappa(kappa), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed
+    )
+    state.vector = even.embed(state.vector)
+    state.top_grade_weight = top_grade_weight(basis, state.vector)
+    outcomes = command_outcomes(ham, params, state)
     doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
@@ -76,48 +63,6 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     print(render_text(doc), end="")
     print(f"report written to {out_dir / 'solve.json'}")
     return int(any(o.status == "fail" for o in outcomes))
-
-
-@contextlib.contextmanager
-def _beside(job):
-    """Yield a call that returns ``job()``'s result, or raises its error, from a child forked
-    to run it beside the ``with`` body; with one allowed CPU, or no current CPU to read, ``job``.
-    Keep ``job`` to a quarter of the command's work or less: the command's wall time then
-    holds while the child runs at a third of the command's speed or more, whatever else
-    loads the child's CPU (README, "Processes")."""
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
-    try:  # the child keeps off the command's current CPU: left free, the scheduler often ran both there
-        here = int(Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()[36])
-    except OSError:  # no /proc, or Linux before 3.17: run the job here, as with one allowed CPU
-        allowed = set()
-    if len(allowed) < 2:
-        yield job
-        return
-    receive, send = multiprocessing.Pipe(duplex=False)
-    def answer():
-        os.sched_setaffinity(0, allowed - {here})
-        try:
-            send.send((True, job()))
-        except Exception as exc:
-            send.send((False, exc))
-    def result():
-        try:
-            ok, value = receive.recv()
-        except EOFError:
-            child.join()
-            ok, value = False, Phi4LabError(f"check process exited with code {child.exitcode} before answering")
-        if not ok:
-            raise value
-        return value
-    child = multiprocessing.get_context("fork").Process(target=answer, daemon=True)
-    child.start()
-    send.close()
-    try:
-        yield result
-    finally:
-        child.terminate()
-        child.join()
-        receive.close()
 
 
 def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
@@ -136,11 +81,7 @@ def cmd_sweep(params: ModelParams, out_dir: Path) -> int:
 
 
 def cmd_verify(params: ModelParams, out_dir: Path) -> int:
-    ham = _build(params)
-    # no state to judge at: the inequality checks take the policy's family at e0 = 0
-    fam = epsilon_for(params.coupling, 0.0, ham, params) if params.n_max >= INEQUALITY_REACH else None
-    with _beside(lambda: check_ccr(ham, seed=params.seed)) as ccr:
-        outcomes = suite_outcomes(ham, params.seed, ccr, fam)
+    outcomes = command_outcomes(_build(params), params)
     doc = document("verify", params, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "verify.json")

@@ -13,6 +13,7 @@ parse -> render -> parse is the identity.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -26,8 +27,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _float(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split())
+    return tuple(_float(tok) for tok in text.split())
 
 
 def _join(values) -> str:
@@ -43,7 +51,7 @@ def _parse_kappa_list(text: str) -> tuple[float, ...]:
     if toks and toks[0] == "geometric":
         if len(toks) != 4:
             raise ValueError("geometric needs start factor count")
-        start, factor, count = float(toks[1]), float(toks[2]), int(toks[3])
+        start, factor, count = _float(toks[1]), _float(toks[2]), int(toks[3])
         if not 0 < factor < 1:
             raise ValueError("geometric factor must lie in (0, 1)")
         return tuple(start * factor**i for i in range(count))
@@ -64,8 +72,8 @@ def _parse_bool(text: str) -> bool:
 # writes their kind with its parameters or table.
 _KEYS = (
     ("dimension", "model", "dimension", int, str),
-    ("mass", "model", "mass", float, _fmt),
-    ("kmax", "grid", "kmax", float, _fmt),
+    ("mass", "model", "mass", _float, _fmt),
+    ("kmax", "grid", "kmax", _float, _fmt),
     ("modes_per_axis", "grid", "modes_per_axis", int, str),
     ("modes", "grid", "modes", _parse_modes, lambda modes: " ; ".join(_join(m) for m in modes)),
     ("mode_weights", "grid", "weights", _floats, _join),
@@ -73,23 +81,26 @@ _KEYS = (
     ("spatial_cutoff", "spatial_cutoff", None, None, None),
     ("nodes_per_axis", "quadrature", "nodes_per_axis", int, str),
     ("n_max", "truncation", "n_max", int, str),
-    ("kappa", "coupling", "kappa", float, _fmt),
+    ("kappa", "coupling", "kappa", _float, _fmt),
     ("kappa_list", "coupling", "kappa_list", _parse_kappa_list, _join),
-    ("eig_tol", "solver", "eig_tol", float, _fmt),
-    ("lin_tol", "solver", "lin_tol", float, _fmt),
+    ("eig_tol", "solver", "eig_tol", _float, _fmt),
+    ("lin_tol", "solver", "lin_tol", _float, _fmt),
     ("max_iter", "solver", "max_iter", int, str),
     ("seed", "solver", "seed", int, str),
-    ("pull_tol", "solver", "pull_tol", float, _fmt),
+    ("pull_tol", "solver", "pull_tol", _float, _fmt),
     ("epsilon_policy", "epsilon", "policy", str.strip, str),
-    ("epsilon_value", "epsilon", "value", float, _fmt),
+    ("epsilon_value", "epsilon", "value", _float, _fmt),
     ("output_dir", "output", "directory", str.strip, str),
     ("dump_vectors", "output", "dump_vectors", _parse_bool, lambda on: "true" if on else "false"),
 )
 
+# cutoff kind -> the keys it reads beside kind
+_CUTOFF_KEYS = {"indicator": {"parameters"}, "gaussian": {"parameters"}, "tabulated": {"table", "table_file"}}
+
 # section -> the keys it may hold, sections in file order
 _SECTIONS = {
     section: {key for _, s, key, _, _ in _KEYS if s == section} - {None}
-    or {"kind", "parameters", "table", "table_file"}
+    or {"kind"}.union(*_CUTOFF_KEYS.values())
     for _, section, *_ in _KEYS
 }
 
@@ -202,13 +213,19 @@ def _parse_cutoff(parser, section: str, base_dir: Path) -> CutoffSpec | None:
     if not parser.has_option(section, "kind"):
         raise ConfigError(f"[{section}] kind: required key missing")
     kind = parser.get(section, "kind").strip()
-    if kind == "tabulated" and parser.has_option(section, "table_file"):
+    keys = set(parser.options(section)) - {"kind"}
+    unread = sorted(keys - _CUTOFF_KEYS.get(kind, keys))  # an unknown kind is CutoffSpec's error
+    if unread:
+        raise ConfigError(f"[{section}] {unread[0]}: not read by kind = {kind}")
+    if {"table", "table_file"} <= keys:
+        raise ConfigError(f"[{section}] table_file: table is set too; keep one of the two")
+    if kind == "tabulated" and "table_file" in keys:
         path = Path(parser.get(section, "table_file"))
         try:
             return load_cutoff_table(path if path.is_absolute() else base_dir / path)
         except (OSError, ValueError, ConfigError) as exc:  # unreadable, not numeric, ragged or invalid
             raise ConfigError(f"[{section}] table_file: {exc}") from None
-    if kind == "tabulated" and not parser.has_option(section, "table"):
+    if kind == "tabulated" and "table" not in keys:
         raise ConfigError(f"[{section}]: tabulated cutoff needs table or table_file")
     key = "table" if kind == "tabulated" else "parameters"
     try:

@@ -11,6 +11,7 @@ L^1/L^2 norms everywhere downstream.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,11 +128,15 @@ def load_cutoff_table(path) -> CutoffSpec:
     """Read a tabulated cutoff from a two-column text file.
 
     Columns are whitespace-separated ``point value`` pairs; ``#`` starts a
-    comment.  Points must be strictly increasing.
+    comment.  Points must be strictly increasing, and every entry finite.
     """
-    data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.shape[1] != 2:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's warning on a file without rows
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if data.size and data.shape[1] != 2:  # an empty table is CutoffSpec's error
         raise ConfigError(f"cutoff table {path} must have exactly two columns")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"must be finite, in cutoff table {path}")
     return CutoffSpec(kind="tabulated", table=tuple((float(p), float(v)) for p, v in data))
 
 

@@ -13,8 +13,12 @@ coefficients, projected to the stated interior grades, and normalized.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -685,28 +689,80 @@ def check_state(
     return fam, outcomes
 
 
-def suite_outcomes(ham: HamiltonianSet, seed: int, ccr, fam=None, state=None) -> list[CheckOutcome]:
-    """The identity suite, then, given the epsilon family ``fam`` (which needs
-    n_max >= INEQUALITY_REACH), the two inequality checks at it: the h-bound when
-    kappa > 0, and the cubic-field bound on ``state``'s vector projected to the
-    interior (a drawn interior vector without a state or when nothing is left).
-    The CCR check's outcome comes from the call ``ccr``, asked for last and reported first."""
-    basis, quad = ham.basis, ham.quadrature
-    outcomes = [
-        check_free_commutators(ham, seed=seed),
-        check_ladder_bounds(ham, seed=seed),
-        check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
-        check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
-    ]
-    if fam is not None:
-        if fam.kappa > 0:
-            outcomes.append(check_hbound(fam, ham, seed=seed))
-        psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
-        psi[~basis.interior_mask(INEQUALITY_REACH)] = 0.0
-        nrm = np.linalg.norm(psi)
-        psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, INEQUALITY_REACH, 1, seed)[0]
-        outcomes.append(check_phi3_bound(psi, fam, ham))
-    return [ccr()] + outcomes
+def command_outcomes(
+    ham: HamiltonianSet, params: ModelParams, state: SpectralResult | None = None
+) -> list[CheckOutcome]:
+    """Every check of ``solve`` (given its ground ``state``, embedded in the full space)
+    or of ``verify`` (without one) at ``params.coupling``, in report order: the
+    ``check_state`` outcomes, then the identity suite (the CCR check run beside the rest
+    by ``_beside``, asked for last, reported first) and, at the epsilon family (the
+    state's, else ``epsilon_for`` at e0 = 0 when n_max >= INEQUALITY_REACH), the h-bound
+    when kappa > 0 and the cubic-field bound on the state's vector projected to the
+    interior (a drawn interior vector without a state or when nothing is left)."""
+    seed, basis, quad = params.seed, ham.basis, ham.quadrature
+    with _beside(lambda: check_ccr(ham, seed=seed)) as ccr:
+        if state is not None:
+            fam, outcomes = check_state(state, params.coupling, ham, params)
+        else:
+            fam = epsilon_for(params.coupling, 0.0, ham, params) if params.n_max >= INEQUALITY_REACH else None
+            outcomes = []
+        suite = [
+            check_free_commutators(ham, seed=seed),
+            check_ladder_bounds(ham, seed=seed),
+            check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
+            check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
+        ]
+        if fam is not None:
+            if fam.kappa > 0:
+                suite.append(check_hbound(fam, ham, seed=seed))
+            psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
+            psi[~basis.interior_mask(INEQUALITY_REACH)] = 0.0
+            nrm = np.linalg.norm(psi)
+            psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, INEQUALITY_REACH, 1, seed)[0]
+            suite.append(check_phi3_bound(psi, fam, ham))
+        return outcomes + [ccr()] + suite
+
+
+@contextlib.contextmanager
+def _beside(job):
+    """Yield a call that returns ``job()``'s result, or raises its error, from a child forked
+    to run it beside the ``with`` body; with one allowed CPU, or no current CPU to read, ``job``.
+    Keep ``job`` to a quarter of the command's work or less: the command's wall time then
+    holds while the child runs at a third of the command's speed or more, whatever else
+    loads the child's CPU (README, "Processes")."""
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    try:  # the child keeps off the command's current CPU: left free, the scheduler often ran both there
+        here = int(Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()[36])
+    except OSError:  # no /proc, or Linux before 3.17: run the job here, as with one allowed CPU
+        allowed = set()
+    if len(allowed) < 2:
+        yield job
+        return
+    receive, send = multiprocessing.Pipe(duplex=False)
+    def answer():
+        os.sched_setaffinity(0, allowed - {here})
+        try:
+            send.send((True, job()))
+        except Exception as exc:
+            send.send((False, exc))
+    def result():
+        try:
+            ok, value = receive.recv()
+        except EOFError:
+            child.join()
+            ok, value = False, Phi4LabError(f"check process exited with code {child.exitcode} before answering")
+        if not ok:
+            raise value
+        return value
+    child = multiprocessing.get_context("fork").Process(target=answer, daemon=True)
+    child.start()
+    send.close()
+    try:
+        yield result
+    finally:
+        child.terminate()
+        child.join()
+        receive.close()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,17 @@ class TestConfigParsing:
             ("spatial_cutoff.radius", 1, "[spatial_cutoff] radius: unknown key"),
             ("grid.modes", None, "[grid] weights"),  # weights without modes
             ("uv_cutoff.table", "0 1 ; 2", "[uv_cutoff] table"),  # an entry is no pair
+            # every number is finite
+            ("grid.kmax", "inf", "[grid] kmax: must be finite"),
+            ("spatial_cutoff.parameters", "inf", "[spatial_cutoff] parameters: must be finite"),
+            ("spatial_cutoff.parameters", "nan nan", "[spatial_cutoff] parameters: must be finite"),
+            ("uv_cutoff.table", "nan nan", "[uv_cutoff] table: must be finite"),
+            ("coupling.kappa", "inf", "[coupling] kappa: must be finite"),
+            # a cutoff section holds only the keys its kind reads
+            ("uv_cutoff.parameters", "1", "[uv_cutoff] parameters: not read by kind = tabulated"),
+            ("spatial_cutoff.table", "0 1", "[spatial_cutoff] table: not read by kind = indicator"),
+            ("spatial_cutoff.table_file", "nosuch.txt", "[spatial_cutoff] table_file: not read by kind"),
+            ("uv_cutoff.table_file", "nosuch.txt", "[uv_cutoff] table_file: table is set too"),
         ],
     )
     def test_field_precise_errors(self, tmp_path, dotted, value, needle):
@@ -111,6 +123,7 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert needle in str(err.value)
+        assert main(["info", "--config", str(path)]) == 2
 
     def test_key_table_names_every_field_once(self):
         names = [row[0] for row in config._KEYS]
@@ -144,12 +157,15 @@ class TestConfigParsing:
         path.write_text(text)
         params = parse_config(path)
         assert params.uv_cutoff.kind == "tabulated"
-        # every bad table names its key and exits 2: not numeric, ragged, not increasing, three columns
-        for bad in ("0 1\n2 abc\n", "0 1\n2\n", "2 1\n0 1\n", "0 1 1\n2 1 1\n"):
+        # every bad table names its key and exits 2, with no warning on the way: not numeric,
+        # ragged, not increasing, three columns, not finite, empty
+        for bad in ("0 1\n2 abc\n", "0 1\n2\n", "2 1\n0 1\n", "0 1 1\n2 1 1\n", "0 1\n2 inf\n", ""):
             table.write_text(bad)
-            with pytest.raises(ConfigError, match=r"\[uv_cutoff\] table_file"):
-                parse_config(path)
-            assert main(["info", "--config", str(path)]) == 2
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match=r"\[uv_cutoff\] table_file"):
+                    parse_config(path)
+                assert main(["info", "--config", str(path)]) == 2
 
 
 class TestCli:

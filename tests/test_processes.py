@@ -51,26 +51,26 @@ def test_child_exception_is_raised_in_the_parent(two_cpus):
         raise NoConvergence("lanczos: 3 restarts without convergence")
 
     with pytest.raises(NoConvergence, match="3 restarts without convergence"):
-        with cli._beside(job) as result:
+        with verify._beside(job) as result:
             assert len(multiprocessing.active_children()) == 1
             result()
 
 
 def test_child_that_dies_before_answering_is_an_error(two_cpus):
     with pytest.raises(Phi4LabError, match="exited with code 3"):
-        with cli._beside(lambda: os._exit(3)) as result:
+        with verify._beside(lambda: os._exit(3)) as result:
             result()
 
 
 def test_cli_exits_2_when_the_child_dies(two_cpus, monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(cli, "check_ccr", lambda *args, **kwargs: os._exit(3))
+    monkeypatch.setattr(verify, "check_ccr", lambda *args, **kwargs: os._exit(3))
     assert cli.main(["verify", "--config", str(REFERENCE), "--out", str(tmp_path)]) == 2
     assert "exited with code 3" in capsys.readouterr().err
 
 
 def test_parent_exception_terminates_the_child(two_cpus):
     with pytest.raises(KeyError):
-        with cli._beside(lambda: time.sleep(60)):
+        with verify._beside(lambda: time.sleep(60)):
             (child,) = multiprocessing.active_children()
             raise KeyError("parent's own work failed")
     assert not child.is_alive()
@@ -78,7 +78,7 @@ def test_parent_exception_terminates_the_child(two_cpus):
 
 
 def test_only_the_child_is_held_off_one_cpu(two_cpus):
-    with cli._beside(lambda: os.sched_getaffinity(0)) as result:
+    with verify._beside(lambda: os.sched_getaffinity(0)) as result:
         assert os.sched_getaffinity(0) == two_cpus
         child_cpus = result()
     assert child_cpus < two_cpus and len(child_cpus) == len(two_cpus) - 1
@@ -88,12 +88,11 @@ def test_only_the_child_is_held_off_one_cpu(two_cpus):
 def test_the_child_runs_the_ccr_check_only(command, two_cpus, monkeypatch, tmp_path):
     """The small share `_beside`'s docstring asks for: 15-25% of the work on the benchmark models."""
     for name in IDENTITY_CHECKS:
-        module = cli if name == "check_ccr" else verify
-        def recorded(*args, _name=name, _check=getattr(module, name), **kwargs):
+        def recorded(*args, _name=name, _check=getattr(verify, name), **kwargs):
             (tmp_path / _name).write_text(str(os.getpid()))
             return _check(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(verify, name, recorded)
     cli.main([command, "--config", str(REFERENCE), "--out", str(tmp_path / "out")])
     assert [name for name in IDENTITY_CHECKS if (tmp_path / name).read_text() != str(os.getpid())] == ["check_ccr"]
 
@@ -107,7 +106,7 @@ def test_the_commands_own_error_wins_over_the_childs(one_cpu, monkeypatch, tmp_p
 
     if one_cpu:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(cli, "check_ccr", fail(NoConvergence("ccr: the child's error")))
+    monkeypatch.setattr(verify, "check_ccr", fail(NoConvergence("ccr: the child's error")))
     monkeypatch.setattr(verify, "check_ladder_bounds", fail(NoConvergence("ladder: the command's error")))
     assert cli.main(["verify", "--config", str(REFERENCE), "--out", str(tmp_path)]) == 2
     assert "the command's error" in capsys.readouterr().err
