@@ -9,6 +9,7 @@ the document they write.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -107,7 +108,26 @@ def cmd_report(params: ModelParams, out_dir: Path, input_path: str | None) -> in
     return 0
 
 
+def _keep_freed_heap() -> None:
+    """Serve arrays below 32 MiB from the heap, and trim it only past 64 MiB free.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and trims the heap top past twice that.  With no large block ever
+    freed, the identity checks' per-block arrays (about 400 kB on
+    ``verify-wide``) are handed back to the kernel after every block and
+    faulted in again.  A C library without ``mallopt`` is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no handle on the C library
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     parser = argparse.ArgumentParser(
         prog="phi4lab",
         description="Desk-scale laboratory for a cutoff quartic boson Hamiltonian",

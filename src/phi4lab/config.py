@@ -58,6 +58,13 @@ def _parse_kappa_list(text: str) -> tuple[float, ...]:
     return _floats(text)
 
 
+def _numbers(value) -> list:
+    """Every number of a float field: a float, a tuple of them or of tuples, or None."""
+    if isinstance(value, tuple):
+        return [x for v in value for x in _numbers(v)]
+    return [] if value is None else [value]
+
+
 def _parse_bool(text: str) -> bool:
     """configparser's boolean words: 1/yes/true/on or 0/no/false/off, any case."""
     word = text.strip().lower()
@@ -137,6 +144,9 @@ class ModelParams:
                 section, key = next((s, k) for f, s, k, _, _ in _KEYS if f == name)
                 raise ConfigError(f"[{section}] {key}: {msg}")
 
+        for name, _, _, parse, _ in _KEYS:
+            if parse in (_float, _floats, _parse_modes, _parse_kappa_list):  # the float fields
+                need(all(math.isfinite(x) for x in _numbers(getattr(self, name))), name, "must be finite")
         need(self.dimension >= 1, "dimension", "must be a positive integer")
         need(self.mass >= 0, "mass", "must be nonnegative")
         if self.modes is None:

@@ -37,12 +37,15 @@ _ORDER_TAG = b"graded-lex-v1\x00\x00\x00"  # 16 bytes
 class LadderTable(NamedTuple):
     """Every nonzero annihilation amplitude: a_mode |src> = amp |dst>.
 
-    One entry per occupied mode of every state, sorted by ``dst``, so entries
-    ``dst_ptr[s]:dst_ptr[s + 1]`` land on state s.  Read backwards they are
-    the truncated creation amplitudes, a_mode^+ |dst> = amp |src>; creation
-    out of the top grade has no entry.  ``take`` indexes each entry in an
-    (M, n_max) table, at row ``mode`` and column n - 1, where n is the
-    occupation ``src`` has in it (amp = sqrt(n)).  ``segal_ptr`` and
+    One entry per occupied mode of every state, sorted by (``dst``, ``src``),
+    so entries ``dst_ptr[s]:dst_ptr[s + 1]`` land on state s.  Every state d
+    below the top grade has M entries, from d + e_{M-1}, ..., d + e_0 in that
+    order, and the top grade none: mode i's entries are the strided slice
+    ``[M - 1 - i::M]``, whose ``dst`` is ``arange(len(dst) // M)``.  Read
+    backwards they are the truncated creation amplitudes, a_mode^+ |dst> =
+    amp |src>; creation out of the top grade has no entry.  ``take`` indexes
+    each entry in an (M, n_max) table, at row ``mode`` and column n - 1, where
+    n is the occupation ``src`` has in it (amp = sqrt(n)).  ``segal_ptr`` and
     ``segal_cols`` are the CSR structure of a(f) + a^+(f); in its data order,
     ``segal_take`` indexes a (2M, n_max) table, annihilation rows first.
     """
@@ -140,23 +143,29 @@ class FockBasis:
         return self.grades <= self.n_max - reach
 
     def _ladder_table(self) -> LadderTable:
-        src, mode = np.nonzero(self.states)
-        lowered = self.states[src].astype(np.int64)
-        lowered[np.arange(len(src)), mode] -= 1
-        dst = self.rank(lowered)
-        src_ptr = np.searchsorted(src, np.arange(self.dim + 1))  # np.nonzero sorts by src
-        order = np.argsort(dst, kind="stable")
-        src, dst, mode = src[order], dst[order], mode[order]
-        dst_ptr = np.searchsorted(dst, np.arange(self.dim + 1))
-        level = self.states[src, mode]
+        # d -> d + e_i keeps graded-lex order and maps the states below the top
+        # grade onto those with n_i >= 1, so a_i sends the k-th state with
+        # n_i >= 1 to state k.  Row d of the table is d + e_{M-1}, ..., d + e_0:
+        # src ascends within it, since d + e_i > d + e_j for i < j.
+        M, states = self.num_modes, self.states
+        lower = math.comb(M + self.n_max - 1, M)  # states below the top grade
+        occupied = states > 0
+        src = np.column_stack([np.flatnonzero(occupied[:, i]) for i in reversed(range(M))]).ravel()
+        dst = np.repeat(np.arange(lower), M)
+        mode = np.tile(np.arange(M)[::-1], lower)
+        dst_ptr = M * np.minimum(np.arange(self.dim + 1), lower)
+        seen = np.cumsum(occupied, axis=1)  # occupied modes of each state up to each mode
+        src_ptr = np.concatenate(([0], np.cumsum(seen[:, -1])))
+        level = states[src, mode]
         take = mode * self.n_max + level - 1
         # int32 indices: dim is capped far below 2**31, and scipy.sparse
         # would otherwise scan and downcast them on every matrix it builds
         src, dst = src.astype(np.int32), dst.astype(np.int32)
         # merged Segal row s: the a^+ entries of the ladder entries with src s
-        # (np.nonzero order), then the a entries of those with dst s; pos[0]
-        # and pos[1] place each entry's a and a^+ amplitude in the data
-        pos = (np.arange(len(src)) + src_ptr[dst + 1], dst_ptr[src] + order)
+        # (in src order, mode ascending), then the a entries of those with dst
+        # s; pos[0] and pos[1] place each entry's a and a^+ amplitude in the data
+        in_src_order = src_ptr[src] + seen[src, mode] - 1
+        pos = (np.arange(len(src)) + src_ptr[dst + 1], dst_ptr[src] + in_src_order)
         cols, segal_take = np.empty(2 * len(src), np.int32), np.empty(2 * len(src), np.intp)
         cols[pos[0]], cols[pos[1]] = src, dst
         segal_take[pos[0]], segal_take[pos[1]] = take, take + self.num_modes * self.n_max
@@ -191,10 +200,12 @@ def enumerate_basis(num_modes: int, n_max: int, max_dim: int = DEFAULT_BASIS_CAP
 
 def apply_mode_annihilation(basis: FockBasis, i: int, v: np.ndarray) -> np.ndarray:
     """a_i v in the occupation basis: |n> -> sqrt(n_i) |n - e_i>."""
-    t = basis.ladders
-    sel = t.mode == i
+    M, t = basis.num_modes, basis.ladders
+    if not 0 <= i < M:
+        raise ConfigError(f"mode {i} is not one of the {M} modes")
+    mine = slice(M - 1 - i, None, M)  # mode i's entries, dst 0, 1, ... (see LadderTable)
     out = np.zeros(basis.dim, dtype=complex)
-    out[t.dst[sel]] = t.amp[sel] * v[t.src[sel]]
+    out[: len(t.dst) // M] = t.amp[mine] * v[t.src[mine]]
     return out
 
 

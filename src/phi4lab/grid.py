@@ -52,6 +52,9 @@ class CutoffSpec:
     def __post_init__(self):
         if self.kind not in _CUTOFF_KINDS:
             raise ConfigError(f"unknown cutoff kind {self.kind!r}; expected one of {_CUTOFF_KINDS}")
+        entries = (*self.parameters, *(x for row in self.table or () for x in row))
+        if not all(math.isfinite(x) for x in entries):
+            raise ConfigError(f"{self.kind} cutoff parameters and table entries must be finite")
         if self.kind == "indicator":
             if len(self.parameters) not in (1, 2):
                 raise ConfigError("indicator cutoff needs 1 (radius) or 2 (interval) parameters")

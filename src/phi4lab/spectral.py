@@ -23,6 +23,10 @@ from .fock import OperatorHandle
 BLOCK_STEPS = 40  # basis size of one Lanczos block
 KEEP = 8  # lowest Ritz vectors kept at each thick restart
 DEGENERACY_RTOL = 1e-8
+# the run ends at the roundoff floor once the residual is within FLOOR_MARGIN of
+# eps * max|Ritz value| and has not halved the best one for STALL_BLOCKS blocks
+FLOOR_MARGIN = 100.0
+STALL_BLOCKS = 3
 
 
 @dataclass
@@ -62,8 +66,10 @@ def ground_state(
 
     Converges when the explicit residual ||H v - e v|| drops below ``tol``,
     checked once per block; raises NoConvergence once ``max_iter`` matvecs
-    are spent, or when a block breaks down on an invariant subspace (all of
-    it when dim <= BLOCK_STEPS) whose lowest Ritz pair still misses ``tol``.
+    are spent, when a block breaks down on an invariant subspace (all of it
+    when dim <= BLOCK_STEPS) whose lowest Ritz pair still misses ``tol``, or
+    when the residual stops falling at the roundoff floor, eps times the
+    largest Ritz value, above ``tol`` (see ``FLOOR_MARGIN``).
     The returned vector is unit norm with its vacuum (index 0) coefficient
     rotated to the nonnegative real axis, so overlaps with the vacuum are
     reproducible across runs.  ``gap_estimate`` is the gap e1 - e0 from the
@@ -80,7 +86,8 @@ def ground_state(
     basis = np.zeros((steps + 1, dim), dtype=complex)
     proj = np.zeros((steps, steps), dtype=complex)  # basis^H H basis
     basis[0] = x / np.linalg.norm(x)
-    kept = matvecs = restarts = 0
+    kept = matvecs = restarts = stalled = 0
+    best = np.inf
     while True:
         invariant = False
         for j in range(kept, steps):
@@ -111,10 +118,14 @@ def ground_state(
         residual = float(np.linalg.norm(hx - e0 * x))
         if residual <= tol:
             break
-        if invariant or matvecs >= max_iter:
+        floor = np.finfo(float).eps * float(np.abs(theta).max())
+        stalled = stalled + 1 if best / 2 <= residual <= FLOOR_MARGIN * floor else 0
+        best = min(best, residual)
+        if invariant or matvecs >= max_iter or stalled == STALL_BLOCKS:
+            why = f": it stopped falling near the roundoff floor eps * max|Ritz value| = {floor:.3e}"
             raise NoConvergence(
                 f"ground state not converged after {matvecs} matvecs "
-                f"(residual {residual:.3e}, tol {tol:.3e})"
+                f"(residual {residual:.3e}, tol {tol:.3e}){why if stalled == STALL_BLOCKS else ''}"
             )
         # thick restart: H V[:keep] picks up only the residual direction V[keep],
         # whose couplings the next step's coefficients fill in as an arrow row

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 import phi4lab
-from phi4lab import ConfigError, config, load_vector, parse_config, render_config
+from phi4lab import ConfigError, CutoffSpec, cli, config, load_vector, parse_config, render_config
 from phi4lab.cli import main
+from phi4lab.config import ModelParams
 from phi4lab.theory import optimize_epsilon
 
 REFERENCE = Path(__file__).resolve().parent.parent / "configs" / "reference.ini"
@@ -125,6 +128,34 @@ class TestConfigParsing:
         assert needle in str(err.value)
         assert main(["info", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            dict(kind="gaussian", parameters=(math.nan,)),
+            dict(kind="indicator", parameters=(-math.inf, 1.0)),
+            dict(kind="tabulated", table=((0.0, 1.0), (1.0, math.inf))),
+        ],
+    )
+    def test_library_cutoff_rejects_nonfinite_numbers(self, spec):
+        with pytest.raises(ConfigError, match="must be finite"):
+            CutoffSpec(**spec)
+
+    @pytest.mark.parametrize(
+        "override,needle",
+        [
+            (dict(kappa=math.inf), "[coupling] kappa: must be finite"),
+            (dict(mass=math.nan), "[model] mass: must be finite"),
+            (dict(kappa_list=(0.1, math.nan)), "[coupling] kappa_list: must be finite"),
+            (dict(eig_tol=math.inf), "[solver] eig_tol: must be finite"),
+            (dict(modes=((0.0,), (math.inf,)), kmax=None, modes_per_axis=None), "[grid] modes: must be finite"),
+        ],
+    )
+    def test_library_params_reject_nonfinite_numbers(self, override, needle):
+        params = ModelParams(**{"kmax": 3.0, "modes_per_axis": 3, **override})
+        with pytest.raises(ConfigError) as err:
+            params.validate()
+        assert needle in str(err.value)
+
     def test_key_table_names_every_field_once(self):
         names = [row[0] for row in config._KEYS]
         assert sorted(names) == sorted(f.name for f in dataclasses.fields(config.ModelParams))
@@ -169,6 +200,22 @@ class TestConfigParsing:
 
 
 class TestCli:
+    def test_main_keeps_freed_heap_through_mallopt(self, monkeypatch, capsys):
+        calls = []
+
+        class Mallopt:  # a ctypes function: takes argtypes and restype
+            def __call__(self, param, value):
+                calls.append((param, value))
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: types.SimpleNamespace(mallopt=Mallopt()))
+        assert main(["info", "--config", str(REFERENCE)]) == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_main_runs_without_mallopt(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(["info", "--config", str(REFERENCE)]) == 0
+        assert "basis dimension: 165" in capsys.readouterr().out
+
     def test_info_prints_reference_dimension(self, capsys):
         assert main(["info", "--config", str(REFERENCE)]) == 0
         out = capsys.readouterr().out

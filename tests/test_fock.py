@@ -126,6 +126,41 @@ class TestLadders:
         assert np.all(apply_smeared(basis, grid, np.ones(1), vac, "create") == 0.0)
         assert np.all(apply_smeared(basis, grid, np.ones(1), vac, "segal") == 0.0)
 
+    @given(m=st.integers(1, 5), n=st.integers(0, 8))
+    @example(m=1, n=0)
+    @example(m=4, n=0)
+    @settings(max_examples=30, deadline=None)
+    def test_table_entries(self, m, n):
+        basis = enumerate_basis(m, n)
+        t, states, dim = basis.ladders, basis.states, basis.dim
+        assert np.array_equal(basis.rank(states[t.src] - np.eye(m, dtype=int)[t.mode]), t.dst)
+        assert np.array_equal(t.amp, np.sqrt(states[t.src, t.mode]))
+        assert np.all(np.diff(t.dst.astype(np.int64) * dim + t.src) > 0)  # strictly by (dst, src)
+        per_dst = np.bincount(t.dst, minlength=dim)
+        per_src = np.bincount(t.src, minlength=dim)
+        assert np.array_equal(t.dst_ptr, np.concatenate(([0], np.cumsum(per_dst))))
+        assert np.array_equal(t.segal_ptr, np.concatenate(([0], np.cumsum(per_dst + per_src))))
+        rows = np.repeat(np.arange(dim), np.diff(t.segal_ptr))
+        assert np.all(np.diff(t.segal_cols)[rows[1:] == rows[:-1]] > 0)  # sorted within each row
+        if dim <= 500:  # the dense oracle holds 2M (dim, dim) matrices
+            _, ann, cre = ladder_matrices(m, n)
+            pattern = sum(np.abs(a) for a in ann + cre) > 0
+            segal = scipy.sparse.csr_matrix((np.ones(len(rows)), t.segal_cols, t.segal_ptr), (dim, dim))
+            assert np.array_equal(segal.toarray() > 0, pattern)
+
+    def test_each_mode_is_a_strided_slice_of_the_table(self):
+        basis = enumerate_basis(3, 4)
+        t, lower = basis.ladders, math.comb(3 + 4 - 1, 3)
+        for i in range(3):
+            assert np.all(t.mode[2 - i :: 3] == i)
+            assert np.array_equal(t.dst[2 - i :: 3], np.arange(lower))
+
+    def test_mode_annihilation_rejects_a_mode_outside_the_basis(self):
+        basis = enumerate_basis(2, 3)
+        for i in (-1, 2):
+            with pytest.raises(ConfigError, match="not one of the 2 modes"):
+                apply_mode_annihilation(basis, i, basis.vacuum())
+
     def test_annihilation_of_vacuum(self):
         basis = enumerate_basis(2, 3)
         for i in range(2):

@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,12 @@ from phi4lab import (
     ground_state,
     solve_shifted,
 )
+from phi4lab.config import build_model, parse_config
 from phi4lab.fock import OperatorHandle
+from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.spectral import BLOCK_STEPS
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def diag_handle(values):
@@ -76,6 +83,18 @@ class TestGroundState:
         grid, quad, basis, ham = reference_model
         with pytest.raises(NoConvergence):
             ground_state(ham.hkappa(0.1), basis.dim, tol=1e-14, max_iter=3, seed=0)
+
+    def test_stops_at_the_roundoff_floor(self):
+        # weak_coupling.ini at depth 20 and kappa 0.5: ||H|| is about 6.6e3, so
+        # the residual stalls near 1.8e-12 (eps ||H|| = 1.5e-12), above eig_tol
+        params = dataclasses.replace(parse_config(CONFIGS / "weak_coupling.ini"), n_max=20)
+        grid, quad, basis = build_model(params)
+        even = HamiltonianSet(basis, grid, quad).even
+        h, matvecs = even.hkappa(0.5), []
+        counted = OperatorHandle(lambda v: matvecs.append(1) or h(v), even.dim)
+        with pytest.raises(NoConvergence, match="roundoff floor"):
+            ground_state(counted, even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed)
+        assert len(matvecs) <= 1000
 
     def test_gap_estimate(self):
         handle = diag_handle([0.0, 2.5, 7.0])
