@@ -72,7 +72,8 @@ class FockBasis:
     ladders: LadderTable = field(init=False, repr=False)
     _binom: np.ndarray = field(init=False, repr=False, compare=False)  # binom[a, b] = C(a, b), rank's table
     # ("annihilate" | "segal", dtype) -> (scaled smearing its data holds, CSR,
-    # its transpose): apply_smeared's slots, creation served by the annihilation one
+    # its transpose, {(which, grade): prefix view}): apply_smeared's slots,
+    # creation served by the annihilation one
     _smeared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -141,6 +142,10 @@ class FockBasis:
     def interior_mask(self, reach: int) -> np.ndarray:
         """Boolean mask of states in grades <= n_max - reach: a prefix, as grades ascend."""
         return self.grades <= self.n_max - reach
+
+    def grade_end(self, grade: int) -> int:
+        """Number of states of grade <= ``grade``: the basis prefix they fill."""
+        return math.comb(self.num_modes + min(grade, self.n_max), self.num_modes) if grade >= 0 else 0
 
     def _ladder_table(self) -> LadderTable:
         # d -> d + e_i keeps graded-lex order and maps the states below the top
@@ -223,17 +228,25 @@ def apply_smeared(
     so the commutator [a(f), a^+(g)] reproduces the weighted inner product
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
-    ``v`` is one coefficient vector of shape (dim,) or a block (B, dim) of
-    them, acted on row by row.  The basis keeps one annihilation CSR ``A(f)``
-    and one merged Segal CSR per dtype, at most four, built on first use from
-    the ladder table.  Creation is the adjoint, ``a^+(f) v = conj(A(f)^T
-    conj(v))``, through the CSC transpose kept beside ``A(f)``, which shares
-    its data.  A matrix records the scaled smearing ``sqrt(w) f`` (over
-    sqrt 2 for the Segal field) its data holds, and a call with another one
-    refills the data in place: one gather, in data order, from the table of
-    each mode's value times sqrt(n), n = 1..n_max (see ``LadderTable``).  A
-    smearing with no imaginary part, like the field at the origin, uses the
-    float64 matrix: one real product on the float64 view of the block.
+    ``v`` is one coefficient vector of shape (n,) or a block (B, n) of them,
+    acted on row by row.  A length n below ``basis.dim`` is a prefix: the
+    vector that is zero beyond n.  If g is the grade of state n - 1, the result
+    is the prefix its image can occupy, below ``basis.grade_end(g - 1)`` for
+    annihilation and below ``basis.grade_end(g + 1)`` for creation and the
+    Segal field; a full-length ``v`` gives a full-length result.
+
+    The basis keeps one annihilation CSR ``A(f)`` and one merged Segal CSR
+    per dtype, built on first use from the ladder table.  Creation is the
+    adjoint, ``a^+(f) v = conj(A(f)^T conj(v))``, through the CSC transpose
+    kept beside ``A(f)``, which shares its data.  A matrix records the scaled
+    smearing ``sqrt(w) f`` (over sqrt 2 for the Segal field) its data holds,
+    and a call with another one refills the data in place: one gather, in
+    data order, from the table of each mode's value times sqrt(n), n =
+    1..n_max (see ``LadderTable``).  A prefix is applied by the leading block
+    of the matrix it reaches, a view kept per action and grade that shares
+    the matrix's arrays, so a refill updates it too.  A smearing with no
+    imaginary part, like the field at the origin, uses the float64 matrix:
+    one real product on the float64 view of the block.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -242,11 +255,15 @@ def apply_smeared(
         raise ConfigError("smearing function is not finite at every mode")
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
+    v = np.asarray(v, dtype=complex)
+    n = v.shape[-1]
+    if n > basis.dim:
+        raise ConfigError(f"vector length {n} exceeds the basis dimension {basis.dim}")
     t, segal = basis.ladders, which == "segal"
     scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if segal else 1.0) * f
     scaled = scaled if scaled.imag.any() else scaled.real
     slot = ("segal" if segal else "annihilate", scaled.dtype)
-    held, op, op_t = basis._smeared.get(slot, (None, None, None))
+    held, op, op_t, views = basis._smeared.get(slot, (None, None, None, {}))
     if op is None:
         structure = (t.segal_cols, t.segal_ptr) if segal else (t.src, t.dst_ptr)
         data = np.empty(len(structure[0]), scaled.dtype)
@@ -258,13 +275,45 @@ def apply_smeared(
         table = np.multiply.outer(np.concatenate(rows), roots)
         # clip never applies (the indices are in range) but lets take write out= unbuffered
         np.take(table, t.segal_take if segal else t.take, out=op.data, mode="clip")
-        basis._smeared[slot] = (scaled, op, op_t)
+        basis._smeared[slot] = (scaled, op, op_t, views)
     create = which == "create"  # a+(f) v = conj(A(f)^T conj(v)), A(f) the annihilation matrix
-    block = np.asarray(v, dtype=complex).T
+    op = op_t if create else op
+    if n < basis.dim:
+        grade = int(basis.grades[n - 1]) if n else -1
+        if (which, grade) not in views:
+            views[which, grade] = _prefix_view(basis, op, which, grade)
+        op = views[which, grade]
+    rows, cols = op.shape
+    block = v.T
+    if cols > n:  # the columns the view's rows read, zero beyond the prefix
+        block = np.concatenate([block, np.zeros((cols - n, *block.shape[1:]), complex)])
     block = np.conjugate(block, order="C") if create else np.ascontiguousarray(block)
-    out = (op_t if create else op) @ block.reshape(basis.dim, -1).view(op.dtype)
-    out = out.view(complex).reshape(block.shape).T
+    out = op @ block.reshape(cols, math.prod(block.shape[1:])).view(op.dtype)
+    out = out.view(complex).reshape(rows, *block.shape[1:]).T
     return np.conjugate(out, out=out) if create else out
+
+
+def _prefix_view(basis: FockBasis, full, which: str, grade: int):
+    """The leading block of ``full`` that ``which`` applies to a prefix of top grade ``grade``.
+
+    Annihilation maps grades <= grade to rows below ``grade_end(grade - 1)``;
+    creation, a column prefix of the CSC transpose, maps them to rows below
+    ``grade_end(grade + 1)``; a Segal row below ``grade_end(grade + 1)`` reads
+    columns up to ``grade_end(grade + 2)``.  The view takes ``full``'s
+    ``indptr`` prefix, ``indices`` and ``data`` after construction: passed to
+    the constructor, a data array more than twice the view's entries is
+    copied (scipy's ``prune``), and the copy would keep its old smearing.
+    """
+    end = basis.grade_end
+    rows = end(grade - 1) if which == "annihilate" else end(grade + 1)
+    cols = end(grade + 2) if which == "segal" else end(grade)
+    if (rows, cols) == full.shape:
+        return full
+    kind = scipy.sparse.csc_matrix if which == "create" else scipy.sparse.csr_matrix
+    view = kind((rows, cols), dtype=full.dtype)
+    major = cols if which == "create" else rows
+    view.indptr, view.indices, view.data = full.indptr[: major + 1], full.indices, full.data
+    return view
 
 
 def apply_h0perp_inverse(esum: np.ndarray, v: np.ndarray, shift: float = 0.0) -> np.ndarray:

@@ -37,12 +37,14 @@ def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.nd
     Uses phi(x) = D_x phi(0) D_x^+, exact under truncation because D_x is
     diagonal: one batched field application per power serves every node,
     alternately ``steps[0]`` and ``steps[1]`` on the block of columns.  ``v``
-    is one vector (used at every node) or one column per node.
+    is one vector (used at every node) or one column per node, of full length
+    or a basis prefix (see ``apply_smeared``); the columns come back as the
+    prefix the last step returns.
     """
-    w = np.conj(phases) * (v if v.ndim == 2 else v[:, None])
+    w = np.conj(phases[: len(v)]) * (v if v.ndim == 2 else v[:, None])
     for p in range(power):
         w = steps[p % 2](w)
-    return phases * w
+    return phases[: len(w)] * w
 
 
 def apply_interaction(
@@ -58,7 +60,7 @@ class _Couplings:
 
     def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps):
         self.esum, self.phases, self.coef = esum, phases, coef
-        self.h0 = OperatorHandle(apply=lambda v: esum * v, dim=len(esum))
+        self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum))
         self.hi = OperatorHandle(
             apply=lambda v: _field_powers(phases, steps, v, 4) @ coef, dim=len(esum)
         )
@@ -81,7 +83,8 @@ class HamiltonianSet(_Couplings):
     ``(dim, N_active)`` phase table ``phases``, whose column j is the diagonal
     of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
     basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
-    origin per power of the field.  A set is freed as soon as it is
+    origin per power of the field, and ``h0``, ``hi`` and ``field_powers``
+    take a basis prefix as ``apply_smeared`` does.  A set is freed as soon as it is
     unreferenced.  The parity sectors ``even`` and ``odd`` and their
     ``origin_block`` are built on first use.
     """

@@ -68,15 +68,16 @@ def draw_interior_vectors(
     basis: FockBasis, reach: int, count: int, seed: int
 ) -> list[np.ndarray]:
     """Seeded complex-normal vectors projected to grades <= n_max - reach."""
-    return [v for block in _interior_blocks(basis, reach, count, seed) for v in block]
+    return [v for block in _interior_blocks(basis, reach, count, seed) for v in _full(basis, block)]
 
 
 def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
-    """The vectors of ``draw_interior_vectors``, drawn lazily BLOCK_ROWS at a time.
+    """The vectors of ``draw_interior_vectors``, drawn lazily BLOCK_ROWS at a time,
+    as ``(B, end)`` rows on the interior prefix of ``end`` states.
 
     The checks iterate these instead of the list: 100 vectors at dim 5,005
     are 8 MB, which set the peak memory of ``verify``."""
-    end = np.count_nonzero(basis.interior_mask(reach))  # the interior is a prefix
+    end = basis.grade_end(basis.n_max - reach)  # the interior is a prefix
     if not end:
         raise Phi4LabError(f"no interior states of reach {reach} at n_max={basis.n_max}")
     rng = np.random.default_rng(seed)
@@ -87,7 +88,19 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
         block[:, :end] = normals[:, 0, :end] + 1j * normals[:, 1, :end]
         for row in block:
             row /= np.linalg.norm(row)
-        yield block
+        yield block[:, :end]
+
+
+def _aligned(*us: np.ndarray) -> list[np.ndarray]:
+    """``us``, vectors or blocks of rows on basis prefixes, zero-padded to the longest."""
+    n = max(u.shape[-1] for u in us)
+    pad = [np.zeros((*u.shape[:-1], n - u.shape[-1]), complex) for u in us]
+    return [u if u.shape[-1] == n else np.concatenate([u, z], axis=-1) for u, z in zip(us, pad)]
+
+
+def _full(basis: FockBasis, u: np.ndarray) -> np.ndarray:
+    """``u`` zero-padded to the full basis (reductions at full length keep the reports' bits)."""
+    return _aligned(u, np.zeros(basis.dim))[0]
 
 
 def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
@@ -125,25 +138,26 @@ def check_ccr(
         pairing = np.sum(grid.weights * np.conj(f) * g)
 
         def a(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(rows), "annihilate")
+            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "annihilate")
 
         def c(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(rows), "create")
+            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "create")
 
         # each smearing acts once on every row it takes, in the order g, f, g
         (a_g,), (c_g,) = a(g, v), c(g, v)
         a_f, af_cg, af_ag = a(f, v, c_g, a_g)
         c_f, cf_cg = c(f, v, c_g)
         (ag_af,), (cg_af, cg_cf) = a(g, a_f), c(g, a_f, c_f)
-        mixed = af_cg - cg_af - pairing * v
-        same_a = af_ag - ag_af
-        same_c = cf_cg - cg_cf
-        scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
+        af_cg, cg_af, pv = _aligned(af_cg, cg_af, pairing * v)
+        mixed = af_cg - cg_af - pv
+        same_a = np.subtract(*_aligned(af_ag, ag_af))
+        same_c = np.subtract(*_aligned(cf_cg, cg_cf))
+        scale = abs(pairing) * np.linalg.norm(_full(basis, v)) + np.linalg.norm(f) * np.linalg.norm(g)
         worst = max(
             worst,
-            _rel(np.linalg.norm(mixed), scale),
-            _rel(np.linalg.norm(same_a), scale),
-            _rel(np.linalg.norm(same_c), scale),
+            _rel(np.linalg.norm(_full(basis, mixed)), scale),
+            _rel(np.linalg.norm(_full(basis, same_a)), scale),
+            _rel(np.linalg.norm(_full(basis, same_c)), scale),
         )
     status = "pass" if worst <= tol else "fail"
     return CheckOutcome("ccr", status, worst, tol, {"count": count, "reach": 2})
@@ -172,16 +186,16 @@ def check_free_commutators(
         def op(fn, u, which):
             return apply_smeared(basis, grid, fn, u, which)
 
-        scale = np.linalg.norm(f) * max(1.0, grid.omega.max()) * np.linalg.norm(v)
+        scale = np.linalg.norm(f) * max(1.0, grid.omega.max()) * np.linalg.norm(_full(basis, v))
         f_a, f_c, f_s = (op(f, pair, which) for which in ("annihilate", "create", "segal"))
         comm_a = f_a[0] - h0(f_a[1]) - op(wf, v, "annihilate")
         comm_c = f_c[0] - h0(f_c[1]) + op(wf, v, "create")
         comm_s = f_s[0] - h0(f_s[1]) - 1j * op(1j * wf, v, "segal")
         worst = max(
             worst,
-            _rel(np.linalg.norm(comm_a), scale),
-            _rel(np.linalg.norm(comm_c), scale),
-            _rel(np.linalg.norm(comm_s), scale),
+            _rel(np.linalg.norm(_full(basis, comm_a)), scale),
+            _rel(np.linalg.norm(_full(basis, comm_c)), scale),
+            _rel(np.linalg.norm(_full(basis, comm_s)), scale),
         )
     status = "pass" if worst <= tol else "fail"
     return CheckOutcome("free-commutators", status, worst, tol, {"count": count, "reach": 1})
@@ -259,9 +273,9 @@ def check_double_commutator(
     # C-contiguous rows keep each reduction bit-identical to a single-vector call
     for block in _interior_blocks(basis, 4, count, seed):
         p2 = phi2(block)
-        lhs_rows = np.ascontiguousarray(phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2)))
-        rhs_rows = np.ascontiguousarray(-4.0 * f_omega * p2)
-        for v, lhs, rhs in zip(block, lhs_rows, rhs_rows):
+        lhs_rows = phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2))
+        lhs_rows, rhs_rows = map(np.ascontiguousarray, _aligned(lhs_rows, -4.0 * f_omega * p2))
+        for v, lhs, rhs in zip(_full(basis, block), _full(basis, lhs_rows), _full(basis, rhs_rows)):
             worst = max(worst, _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs)))
             quad_form = abs(np.vdot(v, lhs))
             h0_exp = float(np.real(np.vdot(v, h0(v))))
@@ -300,15 +314,16 @@ def check_weak_commutator(
     worst = 0.0
     # phi(x) acts on blocks, a(f) and a+(f) on single vectors, as f varies
     for block in _interior_blocks(basis, 4, count, seed + 1):
-        us, fs = np.empty_like(block), []
+        us, fs = np.empty((len(block), basis.dim), complex), []
         for row in us:
             u = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
             row[:] = u / np.linalg.norm(u)
             fs.append(rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes))
         phi3_rows = phi(phi(phi(block)))
         phi4u_rows, phi4v_rows = phi(phi(phi(phi(us)))), phi(phi3_rows)
+        phi3_rows, phi4v_rows = _full(basis, phi3_rows), _full(basis, phi4v_rows)
         for v, u, f, phi4u, phi3v, phi4v in zip(block, us, fs, phi4u_rows, phi3_rows, phi4v_rows):
-            lhs = np.vdot(phi4u, apply_smeared(basis, grid, f, v, "annihilate")) - np.vdot(
+            lhs = np.vdot(phi4u, _full(basis, apply_smeared(basis, grid, f, v, "annihilate"))) - np.vdot(
                 apply_smeared(basis, grid, f, u, "create"), phi4v
             )
             pairing = np.sum(grid.weights * np.conj(f) * smear)
@@ -347,8 +362,8 @@ def check_hbound(
     min_slack = math.inf
     worst = -math.inf
     for v in vectors:
-        h0v = ham.h0(v)
-        hiv = ham.hi(v)
+        h0v, hiv = _aligned(ham.h0(v), ham.hi(v))
+        h0v, hiv, v = _full(ham.basis, h0v), _full(ham.basis, hiv), _full(ham.basis, v)
         hkv = h0v + kappa * hiv
         n_h0 = float(np.linalg.norm(h0v)) ** 2
         n_hik = kappa**2 * float(np.linalg.norm(hiv)) ** 2
@@ -391,6 +406,8 @@ def check_phi3_bound(
     kappa = fam.kappa
     p3 = ham.field_powers(psi, 3)
     p4 = ham.field_powers(p3, 1)
+    p3, p4 = (np.ascontiguousarray(_full(ham.basis, u.T).T) for u in (p3, p4))
+    psi = _full(ham.basis, psi)
     norm2 = float(np.real(np.vdot(psi, psi)))
     # node-pair Gram matrices <phi_j^p psi, phi_k^p psi>
     cross3 = np.abs(p3.conj().T @ p3)
@@ -715,10 +732,10 @@ def command_outcomes(
         if fam is not None:
             if fam.kappa > 0:
                 suite.append(check_hbound(fam, ham, seed=seed))
-            psi = np.zeros(basis.dim, dtype=complex) if state is None else state.vector.copy()
-            psi[~basis.interior_mask(INEQUALITY_REACH)] = 0.0
-            nrm = np.linalg.norm(psi)
-            psi = psi / nrm if nrm > 0 else draw_interior_vectors(basis, INEQUALITY_REACH, 1, seed)[0]
+            end = basis.grade_end(basis.n_max - INEQUALITY_REACH)
+            psi = np.zeros(end, dtype=complex) if state is None else state.vector[:end]
+            nrm = np.linalg.norm(_full(basis, psi))
+            psi = psi / nrm if nrm > 0 else next(_interior_blocks(basis, INEQUALITY_REACH, 1, seed))[0]
             suite.append(check_phi3_bound(psi, fam, ham))
         return outcomes + [ccr()] + suite
 

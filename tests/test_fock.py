@@ -294,7 +294,7 @@ class TestSmearedMemo:
         # call's smearing, and the data a freshly built matrix has; the
         # transpose kept beside the matrix reads the same data
         slot = ("segal" if which == "segal" else "annihilate", np.dtype(complex))
-        held, op, op_t = self.basis._smeared[slot]
+        held, op, op_t, _ = self.basis._smeared[slot]
         scale = np.sqrt(grid.weights) / (math.sqrt(2.0) if which == "segal" else 1.0)
         assert np.array_equal(held, scale * f)
         assert scipy.sparse.issparse(op)
@@ -347,6 +347,48 @@ class TestSmearedMemo:
             kept = out.copy()
             apply_smeared(self.basis, self.grid, g, self.v, which)
             assert np.array_equal(out, kept)
+
+
+class TestPrefixProducts:
+    """A vector shorter than the basis stands for the one that is zero beyond it."""
+
+    @given(
+        m=st.integers(1, 4),
+        n_max=st.integers(0, 8),
+        which=st.sampled_from(["annihilate", "create", "segal"]),
+        real=st.booleans(),
+        rows=st.sampled_from([None, 1, 3]),
+        boundary=st.booleans(),
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @example(m=4, n_max=8, which="segal", real=True, rows=3, boundary=True, cut=0.5, seed=0)
+    @example(m=2, n_max=3, which="annihilate", real=False, rows=None, boundary=False, cut=0.0, seed=1)
+    @settings(max_examples=200, deadline=None)
+    def test_prefix_call_is_the_leading_rows_of_the_full_call(
+        self, m, n_max, which, real, rows, boundary, cut, seed
+    ):
+        basis = enumerate_basis(m, n_max)
+        grid = build_grid(1, 1.0, modes=np.arange(m, dtype=float)[:, None], weights=np.linspace(0.5, 1.5, m))
+        # a length on a grade boundary, or anywhere in 0..dim
+        n = basis.grade_end(round(cut * n_max)) if boundary else round(cut * basis.dim)
+        rng = np.random.default_rng(seed)
+        f = rng.standard_normal(m) + (0.0 if real else 1j) * rng.standard_normal(m)
+        shape = (n,) if rows is None else (rows, n)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        padded = np.zeros((*shape[:-1], basis.dim), complex)
+        padded[..., :n] = v
+        whole = apply_smeared(basis, grid, f, padded, which)
+        prefix = apply_smeared(basis, grid, f, v, which)
+        grade = int(basis.grades[n - 1]) if n else -1
+        k = basis.dim if n == basis.dim else basis.grade_end(grade - 1 if which == "annihilate" else grade + 1)
+        assert prefix.shape == (*shape[:-1], k)
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        assert np.array_equal(bits(prefix), bits(whole[..., :k]))
+        assert not whole[..., k:].any()
 
 
 class TestDiagonals:

@@ -174,16 +174,17 @@ class TestIdentitySuite:
 
     def test_suite_builds_each_ladder_matrix_once(self, monkeypatch):
         # machine-independent work: every smeared action after the first of its
-        # kind refills a matrix in place, so the five identity checks build at
-        # most one per action and dtype (2 x 2, creation applies annihilation's
-        # transpose), however many smearings they draw
+        # kind refills a matrix in place, so the five identity checks build one
+        # per action and dtype (creation applies annihilation's transpose),
+        # however many smearings they draw.  Every other matrix built is a
+        # prefix view that shares its slot's data, one per action and grade
         grid, quad, basis = make_reference(n_max=6)
         ham = HamiltonianSet(basis, grid, quad)
         built = []
         for name in ("csr_matrix", "csc_matrix"):
             kind = getattr(scipy.sparse, name)
             monkeypatch.setattr(
-                scipy.sparse, name, lambda *a, kind=kind, **k: built.append(kind) or kind(*a, **k)
+                scipy.sparse, name, lambda *a, kind=kind, **k: built.append(kind(*a, **k)) or built[-1]
             )
         v = np.random.default_rng(8).standard_normal(basis.dim) + 0j
         before = ham.hi(v)
@@ -198,10 +199,40 @@ class TestIdentitySuite:
             check_weak_commutator(ham, 0.25, count=10, seed=5),
         ]
         assert all(o.passed for o in outcomes)
-        assert 0 < len(built) == len(basis._smeared) <= 4
+        slots = basis._smeared.values()
+        assert 0 < len(slots) <= 4
+        matrices = {id(op): op for _, op, _, _ in slots}
+        views = {  # a prefix that reaches the whole basis is served by the matrix itself
+            id(view): (op, view)
+            for _, op, op_t, held in slots
+            for view in held.values()
+            if view is not op and view is not op_t
+        }
+        assert len(built) == len(matrices) + len(views) and views
+        assert {id(m) for m in built} == matrices.keys() | views.keys()
+        for op, view in views.values():
+            assert np.shares_memory(view.data, op.data) and view.shape != op.shape
         # the complex smearings of the suite leave H's real field matrix alone
         assert np.array_equal(ham.hi(v), before)
         assert basis._smeared["segal", np.dtype(np.float64)] is hi_slot
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_checks_on_one_basis_match_fresh_bases(self, first):
+        # both checks apply complex Segal fields to prefixes of the same grades,
+        # so the second reuses the views the first built, and must see its own
+        # smearing in them: a view holding a copy of the data would keep the first's
+        grid, quad, basis = make_reference(n_max=6)
+        f = np.array([0.7 + 0.2j, -0.4 + 0.9j, 0.3 - 0.5j])
+
+        def run(i, ham):
+            if i == 0:
+                return check_double_commutator(f, ham, count=10, seed=4)
+            return check_weak_commutator(ham, 0.25, count=10, seed=5)
+
+        shared = HamiltonianSet(basis, grid, quad)
+        for i in (first, 1 - first):
+            fresh = HamiltonianSet(enumerate_basis(basis.num_modes, basis.n_max), grid, quad)
+            assert vars(run(i, shared)) == vars(run(i, fresh))
 
 
 class TestInequalitySuite:
