@@ -67,13 +67,14 @@ class CheckOutcome:
 def draw_interior_vectors(
     basis: FockBasis, reach: int, count: int, seed: int
 ) -> list[np.ndarray]:
-    """Seeded complex-normal vectors projected to grades <= n_max - reach."""
-    return [v for block in _interior_blocks(basis, reach, count, seed) for v in _full(basis, block)]
+    """Seeded complex-normal vectors on grades <= n_max - reach, zero beyond them."""
+    blocks = _interior_blocks(basis, reach, count, seed)
+    return [np.concatenate([v, np.zeros(basis.dim - len(v))]) for block in blocks for v in block]
 
 
 def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
     """The vectors of ``draw_interior_vectors``, drawn lazily BLOCK_ROWS at a time,
-    as ``(B, end)`` rows on the interior prefix of ``end`` states.
+    as ``(B, end)`` rows on the interior, the basis prefix of ``end`` states.
 
     The checks iterate these instead of the list: 100 vectors at dim 5,005
     are 8 MB, which set the peak memory of ``verify``."""
@@ -82,13 +83,12 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
         raise Phi4LabError(f"no interior states of reach {reach} at n_max={basis.n_max}")
     rng = np.random.default_rng(seed)
     for start in range(0, count, BLOCK_ROWS):
-        # per row: dim real parts, then dim imaginary parts, as drawn one at a time
-        normals = rng.standard_normal((min(BLOCK_ROWS, count - start), 2, basis.dim))
-        block = np.zeros((len(normals), basis.dim), dtype=complex)
-        block[:, :end] = normals[:, 0, :end] + 1j * normals[:, 1, :end]
+        # per row: end real parts, then end imaginary parts, as drawn one at a time
+        normals = rng.standard_normal((min(BLOCK_ROWS, count - start), 2, end))
+        block = normals[:, 0] + 1j * normals[:, 1]
         for row in block:
             row /= np.linalg.norm(row)
-        yield block[:, :end]
+        yield block
 
 
 def _aligned(*us: np.ndarray) -> list[np.ndarray]:
@@ -96,11 +96,6 @@ def _aligned(*us: np.ndarray) -> list[np.ndarray]:
     n = max(u.shape[-1] for u in us)
     pad = [np.zeros((*u.shape[:-1], n - u.shape[-1]), complex) for u in us]
     return [u if u.shape[-1] == n else np.concatenate([u, z], axis=-1) for u, z in zip(us, pad)]
-
-
-def _full(basis: FockBasis, u: np.ndarray) -> np.ndarray:
-    """``u`` zero-padded to the full basis (reductions at full length keep the reports' bits)."""
-    return _aligned(u, np.zeros(basis.dim))[0]
 
 
 def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
@@ -152,12 +147,12 @@ def check_ccr(
         mixed = af_cg - cg_af - pv
         same_a = np.subtract(*_aligned(af_ag, ag_af))
         same_c = np.subtract(*_aligned(cf_cg, cg_cf))
-        scale = abs(pairing) * np.linalg.norm(_full(basis, v)) + np.linalg.norm(f) * np.linalg.norm(g)
+        scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
         worst = max(
             worst,
-            _rel(np.linalg.norm(_full(basis, mixed)), scale),
-            _rel(np.linalg.norm(_full(basis, same_a)), scale),
-            _rel(np.linalg.norm(_full(basis, same_c)), scale),
+            _rel(np.linalg.norm(mixed), scale),
+            _rel(np.linalg.norm(same_a), scale),
+            _rel(np.linalg.norm(same_c), scale),
         )
     status = "pass" if worst <= tol else "fail"
     return CheckOutcome("ccr", status, worst, tol, {"count": count, "reach": 2})
@@ -186,16 +181,16 @@ def check_free_commutators(
         def op(fn, u, which):
             return apply_smeared(basis, grid, fn, u, which)
 
-        scale = np.linalg.norm(f) * max(1.0, grid.omega.max()) * np.linalg.norm(_full(basis, v))
+        scale = np.linalg.norm(f) * max(1.0, grid.omega.max()) * np.linalg.norm(v)
         f_a, f_c, f_s = (op(f, pair, which) for which in ("annihilate", "create", "segal"))
         comm_a = f_a[0] - h0(f_a[1]) - op(wf, v, "annihilate")
         comm_c = f_c[0] - h0(f_c[1]) + op(wf, v, "create")
         comm_s = f_s[0] - h0(f_s[1]) - 1j * op(1j * wf, v, "segal")
         worst = max(
             worst,
-            _rel(np.linalg.norm(_full(basis, comm_a)), scale),
-            _rel(np.linalg.norm(_full(basis, comm_c)), scale),
-            _rel(np.linalg.norm(_full(basis, comm_s)), scale),
+            _rel(np.linalg.norm(comm_a), scale),
+            _rel(np.linalg.norm(comm_c), scale),
+            _rel(np.linalg.norm(comm_s), scale),
         )
     status = "pass" if worst <= tol else "fail"
     return CheckOutcome("free-commutators", status, worst, tol, {"count": count, "reach": 1})
@@ -275,9 +270,9 @@ def check_double_commutator(
         p2 = phi2(block)
         lhs_rows = phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2))
         lhs_rows, rhs_rows = map(np.ascontiguousarray, _aligned(lhs_rows, -4.0 * f_omega * p2))
-        for v, lhs, rhs in zip(_full(basis, block), _full(basis, lhs_rows), _full(basis, rhs_rows)):
+        for v, lhs, rhs in zip(block, lhs_rows, rhs_rows):
             worst = max(worst, _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs)))
-            quad_form = abs(np.vdot(v, lhs))
+            quad_form = abs(np.vdot(v, lhs[: len(v)]))
             h0_exp = float(np.real(np.vdot(v, h0(v))))
             bound = 4.0 * sqf2 * (4.0 * f_over2 * h0_exp + f_norm2 * float(np.vdot(v, v).real))
             bound_worst = max(bound_worst, _rel(quad_form - bound, bound))
@@ -321,13 +316,11 @@ def check_weak_commutator(
             fs.append(rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes))
         phi3_rows = phi(phi(phi(block)))
         phi4u_rows, phi4v_rows = phi(phi(phi(phi(us)))), phi(phi3_rows)
-        phi3_rows, phi4v_rows = _full(basis, phi3_rows), _full(basis, phi4v_rows)
         for v, u, f, phi4u, phi3v, phi4v in zip(block, us, fs, phi4u_rows, phi3_rows, phi4v_rows):
-            lhs = np.vdot(phi4u, _full(basis, apply_smeared(basis, grid, f, v, "annihilate"))) - np.vdot(
-                apply_smeared(basis, grid, f, u, "create"), phi4v
-            )
+            a_v = apply_smeared(basis, grid, f, v, "annihilate")
+            lhs = np.vdot(phi4u[: len(a_v)], a_v) - np.vdot(apply_smeared(basis, grid, f, u, "create"), phi4v)
             pairing = np.sum(grid.weights * np.conj(f) * smear)
-            rhs = -2.0 * math.sqrt(2.0) * pairing * np.vdot(u, phi3v)
+            rhs = -2.0 * math.sqrt(2.0) * pairing * np.vdot(u[: len(phi3v)], phi3v)
             scale = abs(lhs) + abs(rhs)
             worst = max(worst, _rel(abs(lhs - rhs), scale))
     status = "pass" if worst <= tol else "fail"
@@ -363,7 +356,6 @@ def check_hbound(
     worst = -math.inf
     for v in vectors:
         h0v, hiv = _aligned(ham.h0(v), ham.hi(v))
-        h0v, hiv, v = _full(ham.basis, h0v), _full(ham.basis, hiv), _full(ham.basis, v)
         hkv = h0v + kappa * hiv
         n_h0 = float(np.linalg.norm(h0v)) ** 2
         n_hik = kappa**2 * float(np.linalg.norm(hiv)) ** 2
@@ -401,13 +393,12 @@ def check_phi3_bound(
     Integrated against the chi-weighted double quadrature, with k = fam.kappa
     and the family's lambda, mu:
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
-    psi must live in grades <= n_max - INEQUALITY_REACH.
+    psi, a full vector or a basis prefix, must live in grades
+    <= n_max - INEQUALITY_REACH.
     """
     kappa = fam.kappa
     p3 = ham.field_powers(psi, 3)
     p4 = ham.field_powers(p3, 1)
-    p3, p4 = (np.ascontiguousarray(_full(ham.basis, u.T).T) for u in (p3, p4))
-    psi = _full(ham.basis, psi)
     norm2 = float(np.real(np.vdot(psi, psi)))
     # node-pair Gram matrices <phi_j^p psi, phi_k^p psi>
     cross3 = np.abs(p3.conj().T @ p3)
@@ -416,7 +407,8 @@ def check_phi3_bound(
     point_worst = float(np.max(_rel(-slack, np.abs(cross4) + norm2 + 1.0), initial=-math.inf))
     integral = float(ham.coef @ cross3 @ ham.coef)
     lhs = kappa**2 * integral
-    hk_psi = ham.hkappa(kappa)(psi)
+    h0_psi, hi_psi = _aligned(ham.h0(psi), ham.hi(psi))
+    hk_psi = h0_psi + kappa * hi_psi
     rhs = fam.lam * float(np.linalg.norm(hk_psi)) ** 2 + (
         fam.mu + 0.5 * kappa**2 * ham.quadrature.chi_l1**2
     ) * norm2
@@ -734,7 +726,7 @@ def command_outcomes(
                 suite.append(check_hbound(fam, ham, seed=seed))
             end = basis.grade_end(basis.n_max - INEQUALITY_REACH)
             psi = np.zeros(end, dtype=complex) if state is None else state.vector[:end]
-            nrm = np.linalg.norm(_full(basis, psi))
+            nrm = np.linalg.norm(psi)
             psi = psi / nrm if nrm > 0 else next(_interior_blocks(basis, INEQUALITY_REACH, 1, seed))[0]
             suite.append(check_phi3_bound(psi, fam, ham))
         return outcomes + [ccr()] + suite

@@ -149,14 +149,24 @@ class TestIdentitySuite:
         assert check_weak_commutator(ham, 0.25, count=100, seed=4).passed
 
     def test_interior_vectors_match_the_one_at_a_time_draw(self, reference_model):
+        # only the interior is drawn: per vector, its real parts, then its imaginary parts
         grid, quad, basis, _ = reference_model
-        mask = basis.interior_mask(4)
+        end = np.count_nonzero(basis.interior_mask(4))
         rng = np.random.default_rng(5)
         for v in draw_interior_vectors(basis, 4, 23, seed=5):
-            u = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
-            u[~mask] = 0.0
+            u = rng.standard_normal(end) + 1j * rng.standard_normal(end)
             u /= np.linalg.norm(u)
-            assert np.array_equal(v, u)
+            assert np.array_equal(v[:end], u) and not v[end:].any()
+
+    @pytest.mark.parametrize("reach", [1, 2, 4, 8])
+    def test_interior_blocks_hold_the_interior_only(self, reach, monkeypatch):
+        monkeypatch.setattr(verify, "BLOCK_ROWS", 7)
+        basis = enumerate_basis(3, 8)
+        end = basis.grade_end(8 - reach)
+        blocks = list(verify._interior_blocks(basis, reach, 23, seed=2))
+        assert [b.shape for b in blocks] == [(7, end)] * 3 + [(2, end)]
+        assert np.allclose(np.linalg.norm(np.concatenate(blocks), axis=1), 1.0)
+        assert end == np.count_nonzero(basis.interior_mask(reach))
 
     def test_batched_checks_do_not_depend_on_the_block_size(self, reference_model, monkeypatch):
         # blocks of one row are the single-vector calls (block rows equal them
