@@ -20,7 +20,7 @@ from .grid import cutoff_norm
 from .hamiltonian import HamiltonianSet
 from .report import document, load_json, render_text, write_json, write_sweep_csv
 from .spectral import ground_state
-from .theory import compute_constants, first_order_coefficient, hbound_constants
+from .theory import MIN_TRUNCATION_FOR_CUBIC, compute_constants, first_order_coefficient, hbound_constants
 from .verify import command_outcomes, sweep_kappa, top_grade_weight
 
 
@@ -48,7 +48,8 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     kappa = params.coupling
     ham = _build(params)
     basis = ham.basis
-    consts = compute_constants(ham)
+    # below the cubic coefficient's depth, solve.json has no constants
+    consts = compute_constants(ham) if params.n_max >= MIN_TRUNCATION_FOR_CUBIC else None
     even = ham.even
     state = ground_state(
         even.hkappa(kappa), even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed

@@ -69,7 +69,7 @@ def draw_interior_vectors(
 ) -> list[np.ndarray]:
     """Seeded complex-normal vectors on grades <= n_max - reach, zero beyond them."""
     blocks = _interior_blocks(basis, reach, count, seed)
-    return [np.concatenate([v, np.zeros(basis.dim - len(v))]) for block in blocks for v in block]
+    return [v for block in blocks for v in _padded(block, basis.dim)]
 
 
 def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
@@ -94,8 +94,22 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
 def _aligned(*us: np.ndarray) -> list[np.ndarray]:
     """``us``, vectors or blocks of rows on basis prefixes, zero-padded to the longest."""
     n = max(u.shape[-1] for u in us)
-    pad = [np.zeros((*u.shape[:-1], n - u.shape[-1]), complex) for u in us]
-    return [u if u.shape[-1] == n else np.concatenate([u, z], axis=-1) for u, z in zip(us, pad)]
+    return [u if u.shape[-1] == n else _padded(u, n) for u in us]
+
+
+def _stacked(rows) -> np.ndarray:
+    """Vectors on basis prefixes as the rows of one block, zero-padded to the longest."""
+    block = np.zeros((len(rows), max(len(row) for row in rows)), complex)
+    for out, row in zip(block, rows):
+        out[: len(row)] = row
+    return block
+
+
+def _padded(u: np.ndarray, n: int) -> np.ndarray:
+    """``u`` zero-padded to length ``n`` on its last axis."""
+    out = np.zeros((*u.shape[:-1], n), complex)
+    out[..., : u.shape[-1]] = u
+    return out
 
 
 def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
@@ -133,10 +147,10 @@ def check_ccr(
         pairing = np.sum(grid.weights * np.conj(f) * g)
 
         def a(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "annihilate")
+            return apply_smeared(basis, grid, fn, _stacked(rows), "annihilate")
 
         def c(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "create")
+            return apply_smeared(basis, grid, fn, _stacked(rows), "create")
 
         # each smearing acts once on every row it takes, in the order g, f, g
         (a_g,), (c_g,) = a(g, v), c(g, v)
@@ -705,7 +719,7 @@ def command_outcomes(
     or of ``verify`` (without one) at ``params.coupling``, in report order: the
     ``check_state`` outcomes, then the identity suite (the CCR check run beside the rest
     by ``_beside``, asked for last, reported first) and, at the epsilon family (the
-    state's, else ``epsilon_for`` at e0 = 0 when n_max >= INEQUALITY_REACH), the h-bound
+    state's, else ``epsilon_for`` at e0 = 0) when n_max >= INEQUALITY_REACH, the h-bound
     when kappa > 0 and the cubic-field bound on the state's vector projected to the
     interior (a drawn interior vector without a state or when nothing is left)."""
     seed, basis, quad = params.seed, ham.basis, ham.quadrature
@@ -721,7 +735,7 @@ def command_outcomes(
             check_double_commutator(ham.grid.rho.astype(complex), ham, seed=seed),
             check_weak_commutator(ham, quad.nodes[quad.num_nodes // 2], seed=seed),
         ]
-        if fam is not None:
+        if params.n_max >= INEQUALITY_REACH:
             if fam.kappa > 0:
                 suite.append(check_hbound(fam, ham, seed=seed))
             end = basis.grade_end(basis.n_max - INEQUALITY_REACH)

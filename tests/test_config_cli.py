@@ -240,6 +240,28 @@ class TestCli:
         assert doc["all_passed"]
         assert doc["ground_state"]["e0"] == pytest.approx(0.0, abs=1e-10)
 
+    def test_solve_below_the_inequality_depth(self, tmp_path, capsys):
+        # at n_max < 8 there are no constants and no interior for the inequality
+        # checks: solve runs everything else, as verify does at that depth
+        path = write_config(tmp_path, **{"truncation.n_max": 6})
+        code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        doc = json.loads((tmp_path / "o" / "solve.json").read_text())
+        assert "constants" not in doc and doc["ground_state"]["residual"] <= 1e-10
+        names = [c["name"] for c in doc["checks"]]
+        assert names == [
+            "pull-through[mode 0]",
+            "boson-number-bound",
+            "vacuum-overlap",
+            "eigenprojection-identities",
+            "ccr",
+            "free-commutators",
+            "ladder-bounds",
+            "double-commutator",
+            "weak-commutator-quartic",
+        ]
+
     def test_solve_writes_vector_dump(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"output.dump_vectors": "true", "coupling.kappa": 0.1})
         code = main(["solve", "--config", str(path), "--out", str(tmp_path / "o")])

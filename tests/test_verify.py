@@ -245,6 +245,20 @@ class TestIdentitySuite:
             assert vars(run(i, shared)) == vars(run(i, fresh))
 
 
+def test_verify_wide_keeps_the_benchmark_goldens(tmp_path, capsys):
+    # the benchmark's golden statuses and exit code, read and compared, not rewritten
+    from phi4bench import goldens
+    from phi4bench.workloads import WORKLOADS
+
+    from phi4lab.cli import main
+
+    workload, recorded = WORKLOADS["verify-wide"], goldens.load()
+    code = main(workload.argv(tmp_path, recorded["seed"]))
+    observed = goldens.extract(workload, code, tmp_path)
+    assert goldens.compare(workload, observed, recorded["workloads"]["verify-wide"]) == []
+    assert [status for _, status, _ in observed["checks"]] == ["pass"] * 5
+
+
 class TestInequalitySuite:
     def test_hbound_on_vacuum_only(self, reference_model):
         # n_max = 8 leaves only the vacuum interior at reach 8: the bound
