@@ -71,9 +71,8 @@ class FockBasis:
     grades: np.ndarray = field(init=False, repr=False)
     ladders: LadderTable = field(init=False, repr=False)
     _binom: np.ndarray = field(init=False, repr=False, compare=False)  # binom[a, b] = C(a, b), rank's table
-    # ("annihilate" | "segal", dtype) -> (scaled smearing its data holds, CSR,
-    # its transpose, {(which, grade): prefix view}): apply_smeared's slots,
-    # creation served by the annihilation one
+    # ("annihilate" | "segal", dtype) -> (scaled smearing its data holds, CSR, its transpose,
+    # {(which, grade): prefix view}): apply_smeared's slots, creation served by annihilation's
     _smeared: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,24 +228,21 @@ def apply_smeared(
     ``sum_i w_i conj(f_i) g_i``.  ``which`` is one of ``annihilate``,
     ``create``, ``segal``; the Segal field is (a(f) + a^+(f)) / sqrt(2).
     ``v`` is one coefficient vector of shape (n,) or a block (B, n) of them,
-    acted on row by row.  A length n below ``basis.dim`` is a prefix: the
-    vector that is zero beyond n.  If g is the grade of state n - 1, the result
-    is the prefix its image can occupy, below ``basis.grade_end(g - 1)`` for
-    annihilation and below ``basis.grade_end(g + 1)`` for creation and the
-    Segal field; a full-length ``v`` gives a full-length result.
-
-    The basis keeps one annihilation CSR ``A(f)`` and one merged Segal CSR
-    per dtype, built on first use from the ladder table.  Creation is the
-    adjoint, ``a^+(f) v = conj(A(f)^T conj(v))``, through the CSC transpose
-    kept beside ``A(f)``, which shares its data.  A matrix records the scaled
-    smearing ``sqrt(w) f`` (over sqrt 2 for the Segal field) its data holds,
-    and a call with another one refills the data in place: one gather, in
-    data order, from the table of each mode's value times sqrt(n), n =
-    1..n_max (see ``LadderTable``).  A prefix is applied by the leading block
-    of the matrix it reaches, a view kept per action and grade that shares
-    the matrix's arrays, so a refill updates it too.  A smearing with no
-    imaginary part, like the field at the origin, uses the float64 matrix:
-    one real product on the float64 view of the block.
+    acted on row by row.  Below ``basis.dim``, n is a basis prefix: the vector
+    zero beyond it.  With g the grade of state n - 1, the result is the prefix
+    below ``basis.grade_end(g - 1)`` for annihilation, ``grade_end(g + 1)``
+    otherwise.  The basis keeps one annihilation CSR ``A(f)`` and one merged
+    Segal CSR per dtype, built on first use from the ladder table, and per
+    action and grade a view of the leading block a prefix reaches, which
+    shares the matrix's arrays.  Creation is the adjoint, ``a^+(f) v =
+    conj(A(f)^T conj(v))``, through the CSC transpose kept beside ``A(f)``,
+    which shares its data.  A matrix records the scaled smearing ``sqrt(w) f``
+    (over sqrt 2 for the Segal field) its data holds, and a call with another
+    one refills the data, and so its views, in place: one gather, in data
+    order, from the table of each mode's value times sqrt(n), n = 1..n_max
+    (see ``LadderTable``).  A smearing with no imaginary part, like the field
+    at the origin, uses the float64 matrix: one real product on the float64
+    view of the block.
     """
     f = np.asarray(f, dtype=complex)
     if f.shape != (basis.num_modes,):
@@ -257,8 +253,6 @@ def apply_smeared(
         raise ConfigError(f"unknown smeared action {which!r}")
     v = np.asarray(v, dtype=complex)
     n = v.shape[-1]
-    if n > basis.dim:
-        raise ConfigError(f"vector length {n} exceeds the basis dimension {basis.dim}")
     t, segal = basis.ladders, which == "segal"
     scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if segal else 1.0) * f
     scaled = scaled if scaled.imag.any() else scaled.real
@@ -294,16 +288,11 @@ def apply_smeared(
 
 
 def _prefix_view(basis: FockBasis, full, which: str, grade: int):
-    """The leading block of ``full`` that ``which`` applies to a prefix of top grade ``grade``.
-
-    Annihilation maps grades <= grade to rows below ``grade_end(grade - 1)``;
-    creation, a column prefix of the CSC transpose, maps them to rows below
-    ``grade_end(grade + 1)``; a Segal row below ``grade_end(grade + 1)`` reads
-    columns up to ``grade_end(grade + 2)``.  The view takes ``full``'s
-    ``indptr`` prefix, ``indices`` and ``data`` after construction: passed to
-    the constructor, a data array more than twice the view's entries is
-    copied (scipy's ``prune``), and the copy would keep its old smearing.
-    """
+    """The leading block of ``full`` that ``which`` applies to a prefix of top grade
+    ``grade``: rows for annihilation and Segal (which reads grades <= grade + 2),
+    columns of the CSC transpose for creation.  Its arrays are set after
+    construction: the constructor copies a data array over twice the view's
+    entries (scipy's ``prune``), and a copy would keep its old smearing."""
     end = basis.grade_end
     rows = end(grade - 1) if which == "annihilate" else end(grade + 1)
     cols = end(grade + 2) if which == "segal" else end(grade)

@@ -37,9 +37,8 @@ def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.nd
     Uses phi(x) = D_x phi(0) D_x^+, exact under truncation because D_x is
     diagonal: one batched field application per power serves every node,
     alternately ``steps[0]`` and ``steps[1]`` on the block of columns.  ``v``
-    is one vector (used at every node) or one column per node, of full length
-    or a basis prefix (see ``apply_smeared``); the columns come back as the
-    prefix the last step returns.
+    is one vector (used at every node) or one column per node, full or a basis
+    prefix (see ``apply_smeared``).
     """
     w = np.conj(phases[: len(v)]) * (v if v.ndim == 2 else v[:, None])
     for p in range(power):
@@ -83,9 +82,8 @@ class HamiltonianSet(_Couplings):
     ``(dim, N_active)`` phase table ``phases``, whose column j is the diagonal
     of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
     basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
-    origin per power of the field, and ``h0``, ``hi`` and ``field_powers``
-    take a basis prefix as ``apply_smeared`` does.  A set is freed as soon as it is
-    unreferenced.  The parity sectors ``even`` and ``odd`` and their
+    origin per power of the field; ``h0``, ``hi`` and ``field_powers`` take
+    basis prefixes.  A set is freed as soon as it is unreferenced.  The parity sectors ``even`` and ``odd`` and their
     ``origin_block`` are built on first use.
     """
 

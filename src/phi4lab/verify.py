@@ -69,7 +69,7 @@ def draw_interior_vectors(
 ) -> list[np.ndarray]:
     """Seeded complex-normal vectors on grades <= n_max - reach, zero beyond them."""
     blocks = _interior_blocks(basis, reach, count, seed)
-    return [v for block in blocks for v in _padded(block, basis.dim)]
+    return [v for block in blocks for v in _aligned(block, n=basis.dim)[0]]
 
 
 def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
@@ -91,25 +91,11 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
         yield block
 
 
-def _aligned(*us: np.ndarray) -> list[np.ndarray]:
-    """``us``, vectors or blocks of rows on basis prefixes, zero-padded to the longest."""
-    n = max(u.shape[-1] for u in us)
-    return [u if u.shape[-1] == n else _padded(u, n) for u in us]
-
-
-def _stacked(rows) -> np.ndarray:
-    """Vectors on basis prefixes as the rows of one block, zero-padded to the longest."""
-    block = np.zeros((len(rows), max(len(row) for row in rows)), complex)
-    for out, row in zip(block, rows):
-        out[: len(row)] = row
-    return block
-
-
-def _padded(u: np.ndarray, n: int) -> np.ndarray:
-    """``u`` zero-padded to length ``n`` on its last axis."""
-    out = np.zeros((*u.shape[:-1], n), complex)
-    out[..., : u.shape[-1]] = u
-    return out
+def _aligned(*us: np.ndarray, n: int = 0) -> list[np.ndarray]:
+    """``us``, vectors or blocks of rows on basis prefixes, zero-padded to the longest, or to n."""
+    n = max(n, *(u.shape[-1] for u in us))
+    pads = [np.zeros((*u.shape[:-1], n - u.shape[-1])) for u in us]
+    return [np.concatenate([u, pad], axis=-1) if pad.shape[-1] else u for u, pad in zip(us, pads)]
 
 
 def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
@@ -147,10 +133,10 @@ def check_ccr(
         pairing = np.sum(grid.weights * np.conj(f) * g)
 
         def a(fn, *rows):
-            return apply_smeared(basis, grid, fn, _stacked(rows), "annihilate")
+            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "annihilate")
 
         def c(fn, *rows):
-            return apply_smeared(basis, grid, fn, _stacked(rows), "create")
+            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "create")
 
         # each smearing acts once on every row it takes, in the order g, f, g
         (a_g,), (c_g,) = a(g, v), c(g, v)
@@ -407,8 +393,7 @@ def check_phi3_bound(
     Integrated against the chi-weighted double quadrature, with k = fam.kappa
     and the family's lambda, mu:
       k^2 sum <= lambda ||H(k) psi||^2 + (mu + k^2/2 L1^2) ||psi||^2.
-    psi, a full vector or a basis prefix, must live in grades
-    <= n_max - INEQUALITY_REACH.
+    psi, full or a basis prefix, must live in grades <= n_max - INEQUALITY_REACH.
     """
     kappa = fam.kappa
     p3 = ham.field_powers(psi, 3)
@@ -421,8 +406,7 @@ def check_phi3_bound(
     point_worst = float(np.max(_rel(-slack, np.abs(cross4) + norm2 + 1.0), initial=-math.inf))
     integral = float(ham.coef @ cross3 @ ham.coef)
     lhs = kappa**2 * integral
-    h0_psi, hi_psi = _aligned(ham.h0(psi), ham.hi(psi))
-    hk_psi = h0_psi + kappa * hi_psi
+    hk_psi = np.add(*_aligned(ham.h0(psi), kappa * ham.hi(psi)))
     rhs = fam.lam * float(np.linalg.norm(hk_psi)) ** 2 + (
         fam.mu + 0.5 * kappa**2 * ham.quadrature.chi_l1**2
     ) * norm2
