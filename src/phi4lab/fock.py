@@ -251,8 +251,8 @@ def apply_smeared(
         raise ConfigError("smearing function is not finite at every mode")
     if which not in ("annihilate", "create", "segal"):
         raise ConfigError(f"unknown smeared action {which!r}")
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[-1]
+    block = np.asarray(v, dtype=complex).T
+    n = len(block)
     t, segal = basis.ladders, which == "segal"
     scaled = np.sqrt(grid.weights) / (math.sqrt(2.0) if segal else 1.0) * f
     scaled = scaled if scaled.imag.any() else scaled.real
@@ -272,13 +272,10 @@ def apply_smeared(
         basis._smeared[slot] = (scaled, op, op_t, views)
     create = which == "create"  # a+(f) v = conj(A(f)^T conj(v)), A(f) the annihilation matrix
     op = op_t if create else op
-    if n < basis.dim:
-        grade = int(basis.grades[n - 1]) if n else -1
-        if (which, grade) not in views:
-            views[which, grade] = _prefix_view(basis, op, which, grade)
-        op = views[which, grade]
+    if n < basis.dim:  # key: the action and the top grade of the prefix
+        key = (which, int(basis.grades[n - 1]) if n else -1)
+        op = views[key] = views[key] if key in views else _prefix_view(basis, op, *key)
     rows, cols = op.shape
-    block = v.T
     if cols > n:  # the columns the view's rows read, zero beyond the prefix
         block = np.concatenate([block, np.zeros((cols - n, *block.shape[1:]), complex)])
     block = np.conjugate(block, order="C") if create else np.ascontiguousarray(block)

@@ -70,7 +70,13 @@ class _Couplings:
         if kappa == 0.0:
             return self.h0
         esum, hi = self.esum, self.hi.apply
-        return OperatorHandle(apply=lambda v: esum * v + kappa * hi(v), dim=len(esum))
+
+        def apply(v):  # on a prefix, H0 v adds to the leading part of HI v
+            out = kappa * hi(v)
+            out[: len(v)] += esum[: len(v)] * v
+            return out
+
+        return OperatorHandle(apply=apply, dim=len(esum))
 
 
 class HamiltonianSet(_Couplings):
@@ -82,7 +88,7 @@ class HamiltonianSet(_Couplings):
     ``(dim, N_active)`` phase table ``phases``, whose column j is the diagonal
     of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
     basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
-    origin per power of the field; ``h0``, ``hi`` and ``field_powers`` take
+    origin per power of the field; the handles and ``field_powers`` take
     basis prefixes.  A set is freed as soon as it is unreferenced.  The parity sectors ``even`` and ``odd`` and their
     ``origin_block`` are built on first use.
     """

@@ -406,7 +406,7 @@ def check_phi3_bound(
     point_worst = float(np.max(_rel(-slack, np.abs(cross4) + norm2 + 1.0), initial=-math.inf))
     integral = float(ham.coef @ cross3 @ ham.coef)
     lhs = kappa**2 * integral
-    hk_psi = np.add(*_aligned(ham.h0(psi), kappa * ham.hi(psi)))
+    hk_psi = ham.hkappa(kappa)(psi)
     rhs = fam.lam * float(np.linalg.norm(hk_psi)) ** 2 + (
         fam.mu + 0.5 * kappa**2 * ham.quadrature.chi_l1**2
     ) * norm2
