@@ -71,7 +71,6 @@ from .verify import (
     check_pull_through,
     check_state,
     check_weak_commutator,
-    draw_interior_vectors,
     sweep_kappa,
     top_grade_weight,
 )

@@ -27,15 +27,8 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _float(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValueError("must be finite")
-    return x
-
-
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(_float(tok) for tok in text.split())
+    return tuple(float(tok) for tok in text.split())
 
 
 def _join(values) -> str:
@@ -51,7 +44,7 @@ def _parse_kappa_list(text: str) -> tuple[float, ...]:
     if toks and toks[0] == "geometric":
         if len(toks) != 4:
             raise ValueError("geometric needs start factor count")
-        start, factor, count = _float(toks[1]), _float(toks[2]), int(toks[3])
+        start, factor, count = float(toks[1]), float(toks[2]), int(toks[3])
         if not 0 < factor < 1:
             raise ValueError("geometric factor must lie in (0, 1)")
         return tuple(start * factor**i for i in range(count))
@@ -79,8 +72,8 @@ def _parse_bool(text: str) -> bool:
 # writes their kind with its parameters or table.
 _KEYS = (
     ("dimension", "model", "dimension", int, str),
-    ("mass", "model", "mass", _float, _fmt),
-    ("kmax", "grid", "kmax", _float, _fmt),
+    ("mass", "model", "mass", float, _fmt),
+    ("kmax", "grid", "kmax", float, _fmt),
     ("modes_per_axis", "grid", "modes_per_axis", int, str),
     ("modes", "grid", "modes", _parse_modes, lambda modes: " ; ".join(_join(m) for m in modes)),
     ("mode_weights", "grid", "weights", _floats, _join),
@@ -88,15 +81,15 @@ _KEYS = (
     ("spatial_cutoff", "spatial_cutoff", None, None, None),
     ("nodes_per_axis", "quadrature", "nodes_per_axis", int, str),
     ("n_max", "truncation", "n_max", int, str),
-    ("kappa", "coupling", "kappa", _float, _fmt),
+    ("kappa", "coupling", "kappa", float, _fmt),
     ("kappa_list", "coupling", "kappa_list", _parse_kappa_list, _join),
-    ("eig_tol", "solver", "eig_tol", _float, _fmt),
-    ("lin_tol", "solver", "lin_tol", _float, _fmt),
+    ("eig_tol", "solver", "eig_tol", float, _fmt),
+    ("lin_tol", "solver", "lin_tol", float, _fmt),
     ("max_iter", "solver", "max_iter", int, str),
     ("seed", "solver", "seed", int, str),
-    ("pull_tol", "solver", "pull_tol", _float, _fmt),
+    ("pull_tol", "solver", "pull_tol", float, _fmt),
     ("epsilon_policy", "epsilon", "policy", str.strip, str),
-    ("epsilon_value", "epsilon", "value", _float, _fmt),
+    ("epsilon_value", "epsilon", "value", float, _fmt),
     ("output_dir", "output", "directory", str.strip, str),
     ("dump_vectors", "output", "dump_vectors", _parse_bool, lambda on: "true" if on else "false"),
 )
@@ -145,7 +138,7 @@ class ModelParams:
                 raise ConfigError(f"[{section}] {key}: {msg}")
 
         for name, _, _, parse, _ in _KEYS:
-            if parse in (_float, _floats, _parse_modes, _parse_kappa_list):  # the float fields
+            if parse in (float, _floats, _parse_modes, _parse_kappa_list):  # the float fields
                 need(all(math.isfinite(x) for x in _numbers(getattr(self, name))), name, "must be finite")
         need(self.dimension >= 1, "dimension", "must be a positive integer")
         need(self.mass >= 0, "mass", "must be nonnegative")
@@ -229,26 +222,20 @@ def _parse_cutoff(parser, section: str, base_dir: Path) -> CutoffSpec | None:
         raise ConfigError(f"[{section}] {unread[0]}: not read by kind = {kind}")
     if {"table", "table_file"} <= keys:
         raise ConfigError(f"[{section}] table_file: table is set too; keep one of the two")
-    if kind == "tabulated" and "table_file" in keys:
-        path = Path(parser.get(section, "table_file"))
-        try:
-            return load_cutoff_table(path if path.is_absolute() else base_dir / path)
-        except (OSError, ValueError, ConfigError) as exc:  # unreadable, not numeric, ragged or invalid
-            raise ConfigError(f"[{section}] table_file: {exc}") from None
-    if kind == "tabulated" and "table" not in keys:
-        raise ConfigError(f"[{section}]: tabulated cutoff needs table or table_file")
-    key = "table" if kind == "tabulated" else "parameters"
+    if kind not in _CUTOFF_KEYS:  # CutoffSpec names the kinds
+        key = "kind"
+    else:  # the key whose value CutoffSpec judges
+        key = "table_file" if "table_file" in keys else "table" if kind == "tabulated" else "parameters"
+    text = parser.get(section, key, fallback="")
     try:
-        if kind != "tabulated":
-            return CutoffSpec(kind, parameters=_floats(parser.get(section, key, fallback="")))
-        table = _parse_modes(parser.get(section, key))
-        if any(len(entry) != 2 for entry in table):
-            raise ValueError("every entry must be one point and one value")
-        return CutoffSpec(kind, table=table)
-    except ValueError as exc:
+        if key == "table_file":
+            path = Path(text)
+            return load_cutoff_table(path if path.is_absolute() else base_dir / path)
+        if key == "table":
+            return CutoffSpec(kind, table=_parse_modes(text))
+        return CutoffSpec(kind, parameters=_floats(text) if key == "parameters" else ())
+    except (OSError, ValueError, ConfigError) as exc:  # unreadable, not numeric, ragged or invalid
         raise ConfigError(f"[{section}] {key}: {exc}") from None
-    except ConfigError as exc:
-        raise ConfigError(f"[{section}]: {exc}") from None
 
 
 def parse_config(path) -> ModelParams:

@@ -138,10 +138,6 @@ class FockBasis:
         v[self.index_of(occupation)] = 1.0
         return v
 
-    def interior_mask(self, reach: int) -> np.ndarray:
-        """Boolean mask of states in grades <= n_max - reach: a prefix, as grades ascend."""
-        return self.grades <= self.n_max - reach
-
     def grade_end(self, grade: int) -> int:
         """Number of states of grade <= ``grade``: the basis prefix they fill."""
         return math.comb(self.num_modes + min(grade, self.n_max), self.num_modes) if grade >= 0 else 0

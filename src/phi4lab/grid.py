@@ -50,27 +50,31 @@ class CutoffSpec:
     table: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
+        # every message begins with the failed property: the parser puts the key it read before it
         if self.kind not in _CUTOFF_KINDS:
-            raise ConfigError(f"unknown cutoff kind {self.kind!r}; expected one of {_CUTOFF_KINDS}")
+            raise ConfigError(f"must be one of {_CUTOFF_KINDS} (cutoff kind {self.kind!r})")
+        for row in self.table or ():
+            if np.shape(row) != (2,):
+                raise ConfigError(f"must be (point, value) pairs (tabulated cutoff entry {row!r})")
         entries = (*self.parameters, *(x for row in self.table or () for x in row))
         if not all(math.isfinite(x) for x in entries):
-            raise ConfigError(f"{self.kind} cutoff parameters and table entries must be finite")
+            raise ConfigError(f"must be finite ({self.kind} cutoff parameters and table entries)")
         if self.kind == "indicator":
             if len(self.parameters) not in (1, 2):
-                raise ConfigError("indicator cutoff needs 1 (radius) or 2 (interval) parameters")
+                raise ConfigError("must be 1 (radius) or 2 (interval) numbers (indicator cutoff parameters)")
             if len(self.parameters) == 1 and self.parameters[0] < 0:
-                raise ConfigError("indicator radius must be nonnegative")
+                raise ConfigError("must be nonnegative (indicator radius)")
             if len(self.parameters) == 2 and self.parameters[0] > self.parameters[1]:
-                raise ConfigError("indicator interval must satisfy a <= b")
+                raise ConfigError("must satisfy a <= b (indicator interval [a, b])")
         elif self.kind == "gaussian":
             if len(self.parameters) not in (1, 2) or self.parameters[-1] <= 0:
-                raise ConfigError("gaussian cutoff needs parameters (sigma,) or (A, sigma) with sigma > 0")
+                raise ConfigError("must be (sigma,) or (A, sigma) with sigma > 0 (gaussian cutoff parameters)")
         else:
             if not self.table:
-                raise ConfigError("tabulated cutoff needs a (point, value) table")
+                raise ConfigError("must hold at least one (point, value) pair (tabulated cutoff table)")
             pts = [p for p, _ in self.table]
             if sorted(pts) != pts or len(set(pts)) != len(pts):
-                raise ConfigError("tabulated cutoff points must be strictly increasing")
+                raise ConfigError("must be strictly increasing (tabulated cutoff points)")
 
     @property
     def amp_sigma(self) -> tuple[float, float]:
@@ -131,16 +135,13 @@ def load_cutoff_table(path) -> CutoffSpec:
     """Read a tabulated cutoff from a two-column text file.
 
     Columns are whitespace-separated ``point value`` pairs; ``#`` starts a
-    comment.  Points must be strictly increasing, and every entry finite.
+    comment.  ``CutoffSpec`` checks the rows: pairs, finite, points strictly
+    increasing, at least one.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's warning on a file without rows
         data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.size and data.shape[1] != 2:  # an empty table is CutoffSpec's error
-        raise ConfigError(f"cutoff table {path} must have exactly two columns")
-    if not np.isfinite(data).all():
-        raise ConfigError(f"must be finite, in cutoff table {path}")
-    return CutoffSpec(kind="tabulated", table=tuple((float(p), float(v)) for p, v in data))
+    return CutoffSpec(kind="tabulated", table=tuple(map(tuple, data.tolist())))
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,10 @@ class ParitySector(_Couplings):
 
     ``index`` lists the sector's states, ``esum`` is its free diagonal and
     ``phases`` its rows of the phase table.  The handles act on vectors of
-    length ``dim``, each field power one float64 product of ``origin_block``
-    or its transpose; ``embed`` returns to the full basis.  A sector has no
-    ``field_powers``: an odd power leaves it.
+    length ``dim`` and refuse any other length with a ``ConfigError``, each
+    field power one float64 product of ``origin_block`` or its transpose;
+    ``embed`` returns to the full basis.  A sector has no ``field_powers``: an
+    odd power leaves it.
     """
 
     def __init__(self, ham: HamiltonianSet, parity: int):
@@ -148,6 +149,17 @@ class ParitySector(_Couplings):
         ops = (block, block.T) if parity == 0 else (block.T, block)
         steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
         super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps)
+        # unlike the full space's, the block products take no prefix; hkappa applies these
+        name, dim = ("even", "odd")[parity], self.dim
+
+        def checked(apply, v):
+            if len(v) != dim:
+                raise ConfigError(f"the {name} sector holds {dim} states, the vector {len(v)} entries")
+            return apply(v)
+
+        self.h0, self.hi = (
+            OperatorHandle(apply=functools.partial(checked, h.apply), dim=dim) for h in (self.h0, self.hi)
+        )
 
     def embed(self, v: np.ndarray) -> np.ndarray:
         """The sector vector ``v`` as a full graded-lex vector, zero off the sector."""

@@ -7,8 +7,9 @@ outcome with the offending numbers in the context.
 
 Identities that are exact only without truncation are asserted on interior
 vectors (see the fock module) and the grade reach used is stated with each
-check.  Random test vectors are drawn with seeded standard complex normal
-coefficients, projected to the stated interior grades, and normalized.
+check.  Random test vectors are drawn on the stated interior grades only, the
+basis prefix they fill, with seeded standard complex normal coefficients, and
+normalized; every product keeps the length its operand reaches.
 """
 
 from __future__ import annotations
@@ -64,20 +65,10 @@ class CheckOutcome:
         return self.status == "pass"
 
 
-def draw_interior_vectors(
-    basis: FockBasis, reach: int, count: int, seed: int
-) -> list[np.ndarray]:
-    """Seeded complex-normal vectors on grades <= n_max - reach, zero beyond them."""
-    blocks = _interior_blocks(basis, reach, count, seed)
-    return [v for block in blocks for v in _aligned(block, n=basis.dim)[0]]
-
-
 def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
-    """The vectors of ``draw_interior_vectors``, drawn lazily BLOCK_ROWS at a time,
-    as ``(B, end)`` rows on the interior, the basis prefix of ``end`` states.
-
-    The checks iterate these instead of the list: 100 vectors at dim 5,005
-    are 8 MB, which set the peak memory of ``verify``."""
+    """``count`` seeded complex-normal unit vectors on grades <= n_max - reach, the
+    checks' one draw: ``(B, end)`` rows on the interior, the basis prefix of ``end``
+    states, yielded BLOCK_ROWS at a time so that the draw holds one block in memory."""
     end = basis.grade_end(basis.n_max - reach)  # the interior is a prefix
     if not end:
         raise Phi4LabError(f"no interior states of reach {reach} at n_max={basis.n_max}")
@@ -91,17 +82,9 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
         yield block
 
 
-def _aligned(*us: np.ndarray, n: int = 0) -> list[np.ndarray]:
-    """``us``, vectors or blocks of rows on basis prefixes, zero-padded to the longest, or to n."""
-    n = max(n, *(u.shape[-1] for u in us))
-    pads = [np.zeros((*u.shape[:-1], n - u.shape[-1])) for u in us]
-    return [np.concatenate([u, pad], axis=-1) if pad.shape[-1] else u for u, pad in zip(us, pads)]
-
-
 def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
     """Total squared weight of v in the top ``reach`` grades."""
-    mask = basis.grades > basis.n_max - reach
-    return float(np.sum(np.abs(v[mask]) ** 2))
+    return float(np.sum(np.abs(v[basis.grade_end(basis.n_max - reach) :]) ** 2))
 
 
 def _rel(diff: float, scale: float) -> float:
@@ -126,27 +109,25 @@ def check_ccr(
     basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
     vectors = (v for block in _interior_blocks(basis, 2, count, seed + 1) for v in block)
+
+    def a(fn, u):
+        return apply_smeared(basis, grid, fn, u, "annihilate")
+
+    def c(fn, u):
+        return apply_smeared(basis, grid, fn, u, "create")
+
     worst = 0.0
     for v in vectors:
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         g = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         pairing = np.sum(grid.weights * np.conj(f) * g)
-
-        def a(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "annihilate")
-
-        def c(fn, *rows):
-            return apply_smeared(basis, grid, fn, np.stack(_aligned(*rows)), "create")
-
-        # each smearing acts once on every row it takes, in the order g, f, g
-        (a_g,), (c_g,) = a(g, v), c(g, v)
-        a_f, af_cg, af_ag = a(f, v, c_g, a_g)
-        c_f, cf_cg = c(f, v, c_g)
-        (ag_af,), (cg_af, cg_cf) = a(g, a_f), c(g, a_f, c_f)
-        af_cg, cg_af, pv = _aligned(af_cg, cg_af, pairing * v)
-        mixed = af_cg - cg_af - pv
-        same_a = np.subtract(*_aligned(af_ag, ag_af))
-        same_c = np.subtract(*_aligned(cf_cg, cg_cf))
+        # the annihilation slot holds g, then f, then g: three refills per vector;
+        # each difference pairs products of one length (grades <= n_max - 2, - 4, n_max)
+        a_g, c_g = a(g, v), c(g, v)
+        a_f, c_f, af_cg, af_ag, cf_cg = a(f, v), c(f, v), a(f, c_g), a(f, a_g), c(f, c_g)
+        mixed = af_cg - c(g, a_f) - pairing * v
+        same_a = af_ag - a(g, a_f)
+        same_c = cf_cg - c(g, c_f)
         scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
         worst = max(
             worst,
@@ -268,10 +249,12 @@ def check_double_commutator(
     # C-contiguous rows keep each reduction bit-identical to a single-vector call
     for block in _interior_blocks(basis, 4, count, seed):
         p2 = phi2(block)
-        lhs_rows = phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2))
-        lhs_rows, rhs_rows = map(np.ascontiguousarray, _aligned(lhs_rows, -4.0 * f_omega * p2))
-        for v, lhs, rhs in zip(block, lhs_rows, rhs_rows):
-            worst = max(worst, _rel(np.linalg.norm(lhs - rhs), np.linalg.norm(rhs)))
+        lhs_rows = np.ascontiguousarray(phi2(inner_comm(block, p2)) - inner_comm(p2, phi2(p2)))
+        rhs_rows = np.ascontiguousarray(-4.0 * f_omega * p2)  # grades <= n_max - 2
+        diff_rows = lhs_rows.copy()
+        diff_rows[:, : rhs_rows.shape[1]] -= rhs_rows
+        for v, lhs, rhs, diff in zip(block, lhs_rows, rhs_rows, diff_rows):
+            worst = max(worst, _rel(np.linalg.norm(diff), np.linalg.norm(rhs)))
             quad_form = abs(np.vdot(v, lhs[: len(v)]))
             h0_exp = float(np.real(np.vdot(v, h0(v))))
             bound = 4.0 * sqf2 * (4.0 * f_over2 * h0_exp + f_norm2 * float(np.vdot(v, v).real))
@@ -355,8 +338,9 @@ def check_hbound(
     min_slack = math.inf
     worst = -math.inf
     for v in vectors:
-        h0v, hiv = _aligned(ham.h0(v), ham.hi(v))
-        hkv = h0v + kappa * hiv
+        h0v, hiv = ham.h0(v), ham.hi(v)
+        hkv = kappa * hiv  # H0 v adds to the leading part, as in ``ham.hkappa``
+        hkv[: len(v)] += h0v
         n_h0 = float(np.linalg.norm(h0v)) ** 2
         n_hik = kappa**2 * float(np.linalg.norm(hiv)) ** 2
         n_hk = float(np.linalg.norm(hkv)) ** 2
@@ -555,7 +539,7 @@ def check_pull_through(
     hk, odd = ham.hkappa(kappa), ham.odd
     hk_odd = odd.hkappa(kappa)
     hi_v = ham.hi(v)
-    interior = basis.interior_mask(TOP_GRADE_REACH)
+    interior = basis.grade_end(basis.n_max - TOP_GRADE_REACH)
     for i in range(basis.num_modes):
         sqw = math.sqrt(grid.weights[i])
         omega = float(grid.omega[i])
@@ -574,7 +558,7 @@ def check_pull_through(
         scale = omega * lhs_norm
         unexplained = _rel(float(np.linalg.norm(certificate)), scale)
         interior_defect = _rel(
-            float(np.linalg.norm(defect[interior])), float(np.linalg.norm(commutator))
+            float(np.linalg.norm(defect[:interior])), float(np.linalg.norm(commutator))
         )
         truncation_part = _rel(kappa * float(np.linalg.norm(defect)), scale)
         context = {

@@ -186,7 +186,7 @@ class TestCriterion3InequalitySuite:
             check_hbound(fam12, dham, count=100, seed=6)
         )
         psi = state12.vector.copy()
-        psi[~dbasis.interior_mask(8)] = 0.0
+        psi[dbasis.grade_end(dbasis.n_max - 8) :] = 0.0
         psi /= np.linalg.norm(psi)
         outcomes.append(check_phi3_bound(psi, fam12, dham))
         # number bound and overlap on the reference model at its coupling

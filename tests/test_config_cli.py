@@ -119,6 +119,11 @@ class TestConfigParsing:
             ("spatial_cutoff.table", "0 1", "[spatial_cutoff] table: not read by kind = indicator"),
             ("spatial_cutoff.table_file", "nosuch.txt", "[spatial_cutoff] table_file: not read by kind"),
             ("uv_cutoff.table_file", "nosuch.txt", "[uv_cutoff] table_file: table is set too"),
+            # every CutoffSpec error names the key it judged
+            ("spatial_cutoff.parameters", "1 -1", "[spatial_cutoff] parameters: must satisfy a <= b"),
+            ("uv_cutoff.table", "1 1 ; 0 1", "[uv_cutoff] table: must be strictly increasing"),
+            ("uv_cutoff.table", None, "[uv_cutoff] table: must hold at least one"),
+            ("uv_cutoff.kind", "box", "[uv_cutoff] kind: must be one of"),
         ],
     )
     def test_field_precise_errors(self, tmp_path, dotted, value, needle):
@@ -139,6 +144,11 @@ class TestConfigParsing:
     def test_library_cutoff_rejects_nonfinite_numbers(self, spec):
         with pytest.raises(ConfigError, match="must be finite"):
             CutoffSpec(**spec)
+
+    @pytest.mark.parametrize("table", [((0.0, 1.0, 2.0),), ((0.0, 1.0), (2.0,)), (0.0, 1.0)])
+    def test_library_cutoff_rejects_entries_that_are_no_pairs(self, table):
+        with pytest.raises(ConfigError, match=r"^must be \(point, value\) pairs"):
+            CutoffSpec("tabulated", table=table)
 
     @pytest.mark.parametrize(
         "override,needle",

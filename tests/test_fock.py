@@ -29,7 +29,7 @@ def rand_vec(basis, seed=0, interior=None):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     if interior is not None:
-        v[~basis.interior_mask(interior)] = 0.0
+        v[basis.grade_end(basis.n_max - interior) :] = 0.0
     return v / np.linalg.norm(v)
 
 
@@ -74,9 +74,9 @@ class TestEnumeration:
     def test_interior_is_a_prefix(self, m, n):
         basis = enumerate_basis(m, n)
         for reach in range(n + 2):
-            mask = basis.interior_mask(reach)
-            end = np.count_nonzero(mask)
-            assert mask[:end].all() and end == math.comb(m + max(n - reach, -1), m)
+            end = basis.grade_end(n - reach)
+            assert (basis.grades[:end] <= n - reach).all() and (basis.grades[end:] > n - reach).all()
+            assert end == math.comb(m + max(n - reach, -1), m)
 
     def test_index_bijection(self):
         basis = enumerate_basis(2, 3)

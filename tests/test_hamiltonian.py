@@ -31,7 +31,7 @@ def rand_vec(basis, seed=0, interior=None):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
     if interior is not None:
-        v[~basis.interior_mask(interior)] = 0.0
+        v[basis.grade_end(basis.n_max - interior) :] = 0.0
     return v / np.linalg.norm(v)
 
 

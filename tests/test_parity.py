@@ -127,6 +127,18 @@ def test_sector_matvecs_are_float64_block_products(monkeypatch):
     assert calls == [] and products == [np.float64] * 8
 
 
+def test_sector_handles_refuse_vectors_of_another_length():
+    # a sector vector is no basis prefix: every handle names both lengths
+    grid, quad, basis = make_reference(n_max=8)
+    ham = HamiltonianSet(basis, grid, quad)
+    for name, sector in (("even", ham.even), ("odd", ham.odd)):
+        for handle in (sector.h0, sector.hi, sector.hkappa(0.0), sector.hkappa(0.05)):
+            for length in (10, sector.dim + 1):
+                needle = f"the {name} sector holds {sector.dim} states, the vector {length} entries"
+                with pytest.raises(ConfigError, match=needle):
+                    handle(np.zeros(length, complex))
+
+
 def test_embed_is_zero_off_the_sector(model):
     _, _, basis, ham, _ = model
     v = rand_vec(ham.odd.dim, seed=6)

@@ -27,7 +27,6 @@ from phi4lab import (
     check_pull_through,
     check_state,
     check_weak_commutator,
-    draw_interior_vectors,
     enumerate_basis,
     epsilon_family,
     ground_state,
@@ -56,12 +55,21 @@ def make_planar():
     return HamiltonianSet(basis, grid, quad)
 
 
+def interior_vector(basis, reach, seed):
+    """The first interior vector of the checks' draw, a basis prefix."""
+    return next(verify._interior_blocks(basis, reach, 1, seed))[0]
+
+
 def ccr_one_call_per_product(ham, count, seed):
-    """check_ccr's measure with each of its twelve ladder products a single-vector call."""
+    """check_ccr's measure with each of its twelve ladder products a single-vector call
+    on the whole basis: the drawn interior rows zero-padded to ``basis.dim``."""
     basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
+    rows = np.concatenate(list(verify._interior_blocks(basis, 2, count, seed + 1)))
     worst = 0.0
-    for v in draw_interior_vectors(basis, 2, count, seed + 1):
+    for row in rows:
+        v = np.zeros(basis.dim, complex)
+        v[: len(row)] = row
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         g = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         pairing = np.sum(grid.weights * np.conj(f) * g)
@@ -87,15 +95,27 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("model", ["reference", "planar"])
     def test_ccr_measures_what_one_call_per_product_does(self, model, reference_model, monkeypatch):
-        # check_ccr applies each smearing once to a block of the rows it acts
-        # on: 6 calls per vector, whose rows equal single-vector calls bit for bit
+        # check_ccr applies each product to its operand's basis prefix: 10 calls
+        # per vector, equal bit for bit to full-length calls on the padded vector
         ham = reference_model[3] if model == "reference" else make_planar()
         expected = ccr_one_call_per_product(ham, 12, 3)
         calls = []
         monkeypatch.setattr(verify, "apply_smeared", lambda *a: calls.append(a) or apply_smeared(*a))
         outcome = check_ccr(ham, count=12, seed=3)
         assert outcome.measured == expected > 0.0
-        assert len(calls) == 6 * 12
+        assert len(calls) == 10 * 12
+
+    def test_ccr_applies_no_product_beyond_the_grades_it_reaches(self, monkeypatch):
+        # the interior is grades <= n_max - 2 and no product raises a grade twice
+        # before lowering it: every operand lies in grades <= n_max - 1
+        grid, quad, basis = make_reference(n_max=6)
+        ham = HamiltonianSet(basis, grid, quad)
+        lengths = []
+        monkeypatch.setattr(
+            verify, "apply_smeared", lambda *a: lengths.append(np.shape(a[3])[-1]) or apply_smeared(*a)
+        )
+        assert check_ccr(ham, count=10, seed=4).passed
+        assert max(lengths) == basis.grade_end(5) == 56 < basis.dim == 84
 
     def test_free_commutators(self, reference_model):
         grid, quad, basis, ham = reference_model
@@ -151,12 +171,14 @@ class TestIdentitySuite:
     def test_interior_vectors_match_the_one_at_a_time_draw(self, reference_model):
         # only the interior is drawn: per vector, its real parts, then its imaginary parts
         grid, quad, basis, _ = reference_model
-        end = np.count_nonzero(basis.interior_mask(4))
+        end = basis.grade_end(basis.n_max - 4)
         rng = np.random.default_rng(5)
-        for v in draw_interior_vectors(basis, 4, 23, seed=5):
+        rows = np.concatenate(list(verify._interior_blocks(basis, 4, 23, seed=5)))
+        assert rows.shape == (23, end)
+        for v in rows:
             u = rng.standard_normal(end) + 1j * rng.standard_normal(end)
             u /= np.linalg.norm(u)
-            assert np.array_equal(v[:end], u) and not v[end:].any()
+            assert np.array_equal(v, u)
 
     @pytest.mark.parametrize("reach", [1, 2, 4, 8])
     def test_interior_blocks_hold_the_interior_only(self, reach, monkeypatch):
@@ -166,7 +188,7 @@ class TestIdentitySuite:
         blocks = list(verify._interior_blocks(basis, reach, 23, seed=2))
         assert [b.shape for b in blocks] == [(7, end)] * 3 + [(2, end)]
         assert np.allclose(np.linalg.norm(np.concatenate(blocks), axis=1), 1.0)
-        assert end == np.count_nonzero(basis.interior_mask(reach))
+        assert end == np.count_nonzero(basis.grades <= 8 - reach)
 
     def test_batched_checks_do_not_depend_on_the_block_size(self, reference_model, monkeypatch):
         # blocks of one row are the single-vector calls (block rows equal them
@@ -272,7 +294,7 @@ class TestInequalitySuite:
         # the checks read only lam and mu, which do not depend on the family's
         # e0: the family of a state and the state-free one at e0 = 0 agree
         grid, quad, basis, ham = deep_reference
-        psi = draw_interior_vectors(basis, 8, 1, seed=11)[0]
+        psi = interior_vector(basis, 8, seed=11)
         at_state, state_free = (epsilon_family(1e-3, 0.05, e0, grid, quad) for e0 in (0.5, 0.0))
         assert at_state.c_number != state_free.c_number
         for outcome, again in (
@@ -301,7 +323,7 @@ class TestInequalitySuite:
         grid, quad, basis = make_single_mode(n_max=10)
         ham = HamiltonianSet(basis, grid, quad)
         assert quad.num_nodes == 1
-        psi = draw_interior_vectors(basis, 8, 1, seed=8)[0]
+        psi = interior_vector(basis, 8, seed=8)
         outcome = check_phi3_bound(psi, epsilon_family(1e-3, 0.05, 0.0, grid, quad), ham)
         assert outcome.passed
 
@@ -310,7 +332,7 @@ class TestInequalitySuite:
         kappa = 0.05
         state = ground_state(ham.hkappa(kappa), basis.dim, tol=1e-10, seed=9)
         psi = state.vector.copy()
-        psi[~basis.interior_mask(8)] = 0.0
+        psi[basis.grade_end(basis.n_max - 8) :] = 0.0
         psi /= np.linalg.norm(psi)
         outcome = check_phi3_bound(psi, optimize_epsilon(kappa, state.e0, grid, quad), ham)
         assert outcome.passed, outcome.context
@@ -425,8 +447,9 @@ class TestPullThrough:
         # solver part of the split reports it and the check fails
         grid, quad, basis, ham = reference_model
         state = ground_state(ham.hkappa(0.05), basis.dim, tol=1e-11, seed=16)
-        noise = draw_interior_vectors(basis, 4, 1, seed=5)[0]
-        vec = state.vector + 1e-3 * noise
+        noise = interior_vector(basis, 4, seed=5)
+        vec = state.vector.copy()
+        vec[: len(noise)] += 1e-3 * noise
         perturbed = SpectralResult(
             e0=state.e0,
             vector=vec / np.linalg.norm(vec),
