@@ -325,10 +325,12 @@ def apply_h0perp_inverse(esum: np.ndarray, v: np.ndarray, shift: float = 0.0) ->
 
 @dataclass(frozen=True)
 class OperatorHandle:
-    """Matrix-free Hermitian linear operator on coefficient vectors."""
+    """Matrix-free Hermitian linear operator on coefficient vectors; ``real`` when it is
+    real symmetric and maps a float64 vector to a float64 vector."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     dim: int
+    real: bool = False
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         return self.apply(v)

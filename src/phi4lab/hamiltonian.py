@@ -16,12 +16,22 @@ odd.  Each grade is one graded-lex range, so a sector (``ham.even``,
 ``ham.odd``) is a union of ranges.  Its handles cost half a full matvec, each
 field power one float64 product of ``origin_block``, phi(0) from the even to
 the odd states, or of its transpose (the origin smearing is real).
+
+Real arithmetic.  D_{-x} = conj(D_x) and phi(0) is real, so on a real vector
+phi(-x)^p v = conj(phi(x)^p v).  When every active node's negative is an
+active node of bit-equal weight (``mirror_fold``), H(kappa) is real symmetric
+in the occupation basis, and the sectors' handles (then ``real``) read a
+float64 vector as real: one column per mirror pair, 2 Re(c_j D_j phi(0)^4
+D_j^+ v), and one per node at the origin, about half the columns of the
+per-node path that a complex vector keeps.  The full-space handles always take
+that per-node path.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -46,6 +56,37 @@ def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.nd
     return phases[: len(w)] * w
 
 
+@dataclass(frozen=True)
+class MirrorFold:
+    """The active nodes of a mirror-symmetric model, one per pair x_j, -x_j.
+
+    ``index`` picks one node of each pair and each node at the origin from the
+    active nodes, ``coef`` is its folded weight: 2 c_j for a pair, c_j at the
+    origin.  For a real v and node weights w with w(-x) = conj(w(x)),
+    sum_j c_j w_j phi(x_j)^p v is the real part of the folded sum (``sum``).
+    """
+
+    index: np.ndarray
+    coef: np.ndarray
+
+    def sum(self, columns: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+        """sum_j c_j w_j phi(x_j)^p v from ``columns``, phi(x_r)^p v at the fold's nodes r
+        (all nodes' ``weights`` w, 1 if None): real, as the mirror columns are conjugate."""
+        coef = self.coef if weights is None else self.coef * weights[self.index]
+        return (columns @ coef).real
+
+
+def mirror_fold(nodes: np.ndarray, coef: np.ndarray) -> MirrorFold | None:
+    """The ``MirrorFold`` of active ``nodes`` with weights ``coef``, or None unless every
+    node's negative is a node of a bit-equal weight (the origin is its own mirror)."""
+    where = {tuple(x): j for j, x in enumerate(nodes)}  # 0.0 and -0.0 are one key
+    mirror = [where.get(tuple(-x)) for x in nodes]
+    if any(k is None or coef[k] != coef[j] for j, k in enumerate(mirror)):
+        return None
+    index = np.array([j for j, k in enumerate(mirror) if j <= k], dtype=int)
+    return MirrorFold(index, np.where(np.array(mirror)[index] == index, 1.0, 2.0) * coef[index])
+
+
 def apply_interaction(
     basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature, v: np.ndarray
 ) -> np.ndarray:
@@ -55,14 +96,21 @@ def apply_interaction(
 
 class _Couplings:
     """``h0``, ``hi``, ``hkappa`` from the free diagonal, phase table, node weights and
-    field ``steps`` (see ``_field_powers``); the handles close over these, not the set."""
+    field ``steps`` (see ``_field_powers``); the handles close over these, not the set.
+    With a ``fold`` they are ``real``: ``hi`` takes a float64 vector through it."""
 
-    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps):
+    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps, fold=None):
         self.esum, self.phases, self.coef = esum, phases, coef
-        self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum))
-        self.hi = OperatorHandle(
-            apply=lambda v: _field_powers(phases, steps, v, 4) @ coef, dim=len(esum)
-        )
+        self.real = fold is not None
+        folded = None if fold is None else phases.take(fold.index, axis=1)
+
+        def hi(v):
+            if folded is None or np.iscomplexobj(v):
+                return _field_powers(phases, steps, v, 4) @ coef
+            return fold.sum(_field_powers(folded, steps, v, 4))
+
+        self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum), real=self.real)
+        self.hi = OperatorHandle(apply=hi, dim=len(esum), real=self.real)
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
@@ -76,7 +124,7 @@ class _Couplings:
             out[: len(v)] += esum[: len(v)] * v
             return out
 
-        return OperatorHandle(apply=apply, dim=len(esum))
+        return OperatorHandle(apply=apply, dim=len(esum), real=self.real)
 
 
 class HamiltonianSet(_Couplings):
@@ -89,7 +137,9 @@ class HamiltonianSet(_Couplings):
     of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
     basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
     origin per power of the field; the handles and ``field_powers`` take
-    basis prefixes.  A set is freed as soon as it is unreferenced.  The parity sectors ``even`` and ``odd`` and their
+    basis prefixes.  A set is freed as soon as it is unreferenced.  The
+    nodes' ``fold`` (``mirror_fold``, None on a model without the mirror
+    symmetry), the parity sectors ``even`` and ``odd`` and their
     ``origin_block`` are built on first use.
     """
 
@@ -113,6 +163,10 @@ class HamiltonianSet(_Couplings):
         """Columns phi(x_j)^power v_j, ``v`` one vector or one column per node."""
         return _field_powers(self.phases, self._steps, v, power)
 
+    def folded_powers(self, v: np.ndarray, power: int) -> np.ndarray:
+        """Columns phi(x_r)^power v at the nodes r of ``fold``, for ``fold.sum``."""
+        return _field_powers(self.phases.take(self.fold.index, axis=1), self._steps, v, power)
+
     @functools.cached_property
     def origin_block(self) -> scipy.sparse.csr_matrix:
         """phi(0) from the even (columns) to the odd states (rows), in O(nnz): each
@@ -126,6 +180,7 @@ class HamiltonianSet(_Couplings):
         rows, cols = local[np.where(src_odd, t.src, t.dst)], local[np.where(src_odd, t.dst, t.src)]
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(odd.sum(), (~odd).sum()))
 
+    fold = functools.cached_property(lambda self: mirror_fold(self.nodes, self.coef))
     even = functools.cached_property(lambda self: ParitySector(self, 0))
     odd = functools.cached_property(lambda self: ParitySector(self, 1))
 
@@ -137,8 +192,10 @@ class ParitySector(_Couplings):
     ``phases`` its rows of the phase table.  The handles act on vectors of
     length ``dim`` and refuse any other length with a ``ConfigError``, each
     field power one float64 product of ``origin_block`` or its transpose;
-    ``embed`` returns to the full basis.  A sector has no ``field_powers``: an
-    odd power leaves it.
+    ``embed`` returns to the full basis.  On a model with a ``fold`` the
+    sector is ``real`` and its handles say so: they read a float64 vector as
+    real, through the fold.  A sector has no ``field_powers``: an odd power
+    leaves it.
     """
 
     def __init__(self, ham: HamiltonianSet, parity: int):
@@ -148,7 +205,7 @@ class ParitySector(_Couplings):
         block = ham.origin_block
         ops = (block, block.T) if parity == 0 else (block.T, block)
         steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
-        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps)
+        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps, ham.fold)
         # unlike the full space's, the block products take no prefix; hkappa applies these
         name, dim = ("even", "odd")[parity], self.dim
 
@@ -158,11 +215,12 @@ class ParitySector(_Couplings):
             return apply(v)
 
         self.h0, self.hi = (
-            OperatorHandle(apply=functools.partial(checked, h.apply), dim=dim) for h in (self.h0, self.hi)
+            OperatorHandle(apply=functools.partial(checked, h.apply), dim=dim, real=self.real)
+            for h in (self.h0, self.hi)
         )
 
     def embed(self, v: np.ndarray) -> np.ndarray:
-        """The sector vector ``v`` as a full graded-lex vector, zero off the sector."""
-        out = np.zeros(self.full_dim, dtype=complex)
+        """The sector vector ``v`` as a full graded-lex vector of its dtype, zero off the sector."""
+        out = np.zeros(self.full_dim, dtype=v.dtype)
         out[self.index] = v
         return out

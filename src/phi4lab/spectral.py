@@ -8,6 +8,11 @@ twice against the whole basis in matrix form, and each restart keeps the
 conjugate gradients with a diagonal preconditioner.  At desk-scale dimensions
 both are robust and cheap, and with a fixed seed the whole computation is
 deterministic.
+
+A ``real`` handle (a parity sector of a mirror-symmetric model, see the
+hamiltonian module) is real symmetric: Lanczos then draws a real start vector
+and keeps a float64 basis, half the data of a complex one.  A shifted solve
+runs in the dtype of its right-hand side.
 """
 
 from __future__ import annotations
@@ -72,19 +77,21 @@ def ground_state(
     largest Ritz value, above ``tol`` (see ``FLOOR_MARGIN``).
     The returned vector is unit norm with its vacuum (index 0) coefficient
     rotated to the nonnegative real axis, so overlaps with the vacuum are
-    reproducible across runs.  ``gap_estimate`` is the gap e1 - e0 from the
-    two lowest Ritz values (see SpectralResult).  If it is below
+    reproducible across runs; it is float64 when ``h.real``, else complex.
+    ``gap_estimate`` is the gap e1 - e0 from the two lowest Ritz values (see
+    SpectralResult).  If it is below
     ``DEGENERACY_RTOL * max(1, |e0|)`` a NearDegenerateWarning is issued and
     flagged on the result.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    dtype = float if h.real else complex
+    x = rng.standard_normal(dim) if h.real else rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     steps = min(BLOCK_STEPS, dim)
     # basis vectors as rows, the last one the residual direction of a full block
-    basis = np.zeros((steps + 1, dim), dtype=complex)
-    proj = np.zeros((steps, steps), dtype=complex)  # basis^H H basis
+    basis = np.zeros((steps + 1, dim), dtype=dtype)
+    proj = np.zeros((steps, steps), dtype=dtype)  # basis^H H basis
     basis[0] = x / np.linalg.norm(x)
     kept = matvecs = restarts = stalled = 0
     best = np.inf
@@ -93,7 +100,7 @@ def ground_state(
         for j in range(kept, steps):
             w = h(basis[j])
             matvecs += 1
-            coef = np.zeros(j + 1, dtype=complex)
+            coef = np.zeros(j + 1, dtype=dtype)
             for _ in range(2):  # classical Gram-Schmidt, twice
                 # conj(V @ conj(w)) = V^H w without copying the conjugated basis
                 c = np.conj(basis[: j + 1] @ np.conj(w))
@@ -175,7 +182,8 @@ def solve_shifted(
     and ``precond``, the diagonal of the preconditioner M ~ H + shift,
     positive in every entry.  Convergence is ||(H + shift) x - rhs|| <= tol *
     ||rhs||, on the unpreconditioned recursive residual, within max(1000,
-    20 dim) iterations.  Returns (x, iterations, final relative residual).
+    20 dim) iterations.  Runs in the dtype of ``rhs``: float64 on a real one,
+    for a ``real`` handle.  Returns (x, iterations, final relative residual).
     """
     floor = emin + shift
     if floor <= 1e-14 * max(1.0, abs(emin)):

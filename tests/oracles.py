@@ -101,10 +101,11 @@ class DenseModel:
         return float(evals[0]), vec, evals
 
 
-def handle_matrix(handle):
-    """Dense matrix of a matrix-free handle, applied column by column to unit vectors."""
+def handle_matrix(handle, dtype=complex):
+    """Dense matrix of a matrix-free handle, applied column by column to unit vectors
+    of ``dtype``."""
     mat = np.zeros((handle.dim, handle.dim), dtype=complex)
-    e = np.zeros(handle.dim, dtype=complex)
+    e = np.zeros(handle.dim, dtype=dtype)
     for j in range(handle.dim):
         e[j] = 1.0
         mat[:, j] = handle(e)

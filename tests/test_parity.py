@@ -7,6 +7,9 @@ the full handle, and carry the solvers: the ground state in the even block,
 the pull-through resolvents in the odd block.
 """
 
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,8 +24,9 @@ from phi4lab import (
     ground_state,
     solve_shifted,
 )
-from phi4lab import hamiltonian
-from phi4lab.hamiltonian import HamiltonianSet
+from phi4lab import hamiltonian, verify
+from phi4lab.config import build_model, parse_config
+from phi4lab.hamiltonian import HamiltonianSet, mirror_fold
 from phi4lab.verify import check_pull_through
 
 from conftest import field_handle, make_reference
@@ -34,7 +38,16 @@ def make_planar(n_max=4):
     return grid, quad, enumerate_basis(grid.num_modes, n_max)
 
 
+def make_asymmetric(n_max=8):
+    """The reference grid with the spatial cutoff [-1, 0.5]: no node has its mirror."""
+    grid, _, basis = make_reference(n_max)
+    return grid, build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 0.5)), 9), basis
+
+
 MODELS = {"reference": make_reference, "planar": make_planar}
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted((ROOT / "configs").glob("*.ini"))
+SHIPPED_CONFIGS += sorted((ROOT / "phi4bench" / "configs").glob("*.ini"))
 
 
 @pytest.fixture(scope="module", params=sorted(MODELS))
@@ -66,13 +79,15 @@ def test_dense_hamiltonian_has_no_parity_changing_block(model, kappa):
     assert np.all(hk[np.ix_(ham.odd.index, ham.even.index)] == 0.0)
 
 
+@pytest.mark.parametrize("dtype", [complex, np.float64])
 @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.3])
-def test_sector_handles_equal_the_dense_blocks(model, kappa):
+def test_sector_handles_equal_the_dense_blocks(model, kappa, dtype):
+    # a float64 column takes the mirror fold, a complex one the per-node path
     _, _, _, ham, dense = model
     hk = dense.hk(kappa)
     for sector in (ham.even, ham.odd):
         block = hk[np.ix_(sector.index, sector.index)]
-        got = handle_matrix(sector.hkappa(kappa))
+        got = handle_matrix(sector.hkappa(kappa), dtype)
         assert np.abs(got - block).max() <= 1e-14 * max(1.0, np.abs(block).max())
 
 
@@ -214,3 +229,118 @@ class TestSolversInTheirSectors:
                 emin=state.e0, tol=1e-14,
             )
             assert np.abs(odd.embed(part) - full).max() <= 1e-12 * np.abs(full).max()
+
+
+# ---------------------------------------------------------------------------
+# the mirror fold: real arithmetic in the sectors of a mirror-symmetric model
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_every_shipped_config_is_mirror_symmetric(path):
+    # a quadrature change that loses the symmetry would silently lose the real path
+    grid, quad, basis = build_model(dataclasses.replace(parse_config(path), n_max=2))
+    ham = HamiltonianSet(basis, grid, quad)
+    assert ham.fold is not None and ham.even.real and ham.odd.real
+    assert ham.even.hkappa(0.05).real and ham.odd.hi.real and not ham.hkappa(0.05).real
+
+
+def test_the_fold_takes_one_node_per_mirror_pair(model):
+    ham = model[3]
+    fold = ham.fold
+    at_origin = ~ham.nodes[fold.index].any(axis=1)
+    assert at_origin.sum() == 1 and len(fold.index) == (len(ham.nodes) + 1) // 2
+    assert np.array_equal(fold.coef, np.where(at_origin, 1.0, 2.0) * ham.coef[fold.index])
+    assert fold.coef.sum() == pytest.approx(ham.coef.sum(), rel=1e-15)
+
+
+def test_one_ulp_off_a_mirror_weight_fails_the_mirror_test(model):
+    grid, quad, basis, ham, _ = model
+    j = int(np.flatnonzero(ham.nodes.any(axis=1))[0])  # a node off the origin
+    coef = ham.coef.copy()
+    coef[j] = np.nextafter(coef[j], np.inf)
+    assert mirror_fold(ham.nodes, ham.coef) is not None and mirror_fold(ham.nodes, coef) is None
+    k = int(np.flatnonzero((quad.nodes == ham.nodes[j]).all(axis=1))[0])
+    weights = quad.weights.copy()
+    weights[k] = np.nextafter(weights[k], np.inf)
+    off = HamiltonianSet(basis, grid, dataclasses.replace(quad, weights=weights))
+    assert off.fold is None and not off.even.real and not off.odd.hkappa(0.05).real
+
+
+def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
+    # one column per mirror pair and per node at the origin, each two float64 columns
+    _, _, _, ham, _ = model
+    widths = []
+    for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
+        monkeypatch.setattr(
+            cls, "__matmul__", lambda op, x, _m=cls.__matmul__: widths.append(x.shape[1]) or _m(op, x)
+        )
+    rng = np.random.default_rng(4)
+    for sector in (ham.even, ham.odd):
+        v = rng.standard_normal(sector.dim)
+        for handle in (sector.hi, sector.hkappa(0.05)):
+            widths.clear()
+            real = handle(v)
+            assert real.dtype == np.float64 and widths == [2 * len(ham.fold.index)] * 4
+            widths.clear()
+            per_node = handle(v.astype(complex))
+            assert widths == [2 * len(ham.nodes)] * 4
+            assert np.abs(real - per_node).max() <= 1e-14 * np.abs(per_node).max()
+
+
+def test_the_folded_source_is_the_per_node_source(model):
+    # the pull-through source of a real psi: real by construction, not by dropping
+    # the roundoff imaginary part of the per-node sum
+    grid, _, basis, ham, _ = model
+    psi = ham.even.embed(np.random.default_rng(5).standard_normal(ham.even.dim))
+    sources = ham.field_powers(psi, 3) * ham.coef
+    columns = ham.folded_powers(psi, 3)
+    assert columns.shape == (basis.dim, len(ham.fold.index))
+    for i in range(basis.num_modes):
+        phase = np.exp(-1j * (ham.nodes @ grid.modes[i]))
+        per_node, folded = sources @ phase, ham.fold.sum(columns, phase)
+        assert folded.dtype == np.float64
+        assert np.abs(folded - per_node).max() <= 1e-14 * np.abs(per_node).max()
+
+
+def test_the_suite_fails_on_a_dropped_imaginary_part():
+    # pyproject's filterwarnings: a complex-to-float64 cast is an error, not a warning
+    out = np.zeros(2)
+    with pytest.raises(np.exceptions.ComplexWarning):
+        out[:] = np.array([1.0 + 1.5e-13j, 1.0])
+
+
+def test_ground_state_and_pull_through_run_real(monkeypatch):
+    grid, quad, basis = make_reference()
+    ham = HamiltonianSet(basis, grid, quad)
+    kinds = []
+    monkeypatch.setattr(
+        verify, "solve_shifted", lambda h, s, rhs, **kw: kinds.append(rhs.dtype) or solve_shifted(h, s, rhs, **kw)
+    )
+    state = ground_state(ham.even.hkappa(0.05), ham.even.dim, tol=1e-11, seed=7)
+    assert state.vector.dtype == np.float64
+    state.vector = ham.even.embed(state.vector)
+    assert state.vector.dtype == np.float64
+    outcomes = check_pull_through(state, 0.05, ham)
+    assert kinds == [np.float64] * basis.num_modes
+    assert all(o.passed and o.context["cg_residual"] <= 1e-12 for o in outcomes)
+
+
+def test_an_asymmetric_cutoff_keeps_the_complex_path():
+    grid, quad, basis = make_asymmetric()
+    ham, dense = HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, basis.n_max)
+    assert ham.fold is None and not ham.even.real and not ham.odd.real
+    v = np.random.default_rng(6).standard_normal(ham.even.dim)
+    assert np.array_equal(ham.even.hi(v), ham.even.hi(v.astype(complex)))
+    hk = dense.hk(0.05)
+    assert np.abs(hk.imag).max() > 1e-3  # the dense oracle is complex Hermitian here
+    for sector in (ham.even, ham.odd):
+        block = hk[np.ix_(sector.index, sector.index)]
+        assert np.abs(handle_matrix(sector.hkappa(0.05)) - block).max() <= 1e-14 * np.abs(block).max()
+    state = ground_state(ham.even.hkappa(0.05), ham.even.dim, tol=1e-11, seed=7)
+    assert state.vector.dtype == complex
+    assert abs(state.e0 - dense.ground(0.05)[0]) <= 1e-12
+    state.vector = ham.even.embed(state.vector)
+    outcomes = check_pull_through(state, 0.05, ham)
+    # bit for bit the numbers of the per-node path, recorded before the fold existed
+    assert (state.e0, state.iterations) == (0.44610311297894256, 74)
+    assert [o.measured for o in outcomes] == [0.08091520830334364, 0.07994884460036301, 0.08091520830334357]
