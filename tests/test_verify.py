@@ -1,5 +1,6 @@
 import copy
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,13 +35,14 @@ from phi4lab import (
     sweep_kappa,
 )
 from phi4lab import verify
-from phi4lab.config import ModelParams
+from phi4lab.config import ModelParams, build_model, parse_config
 from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.spectral import SpectralResult
 from phi4lab.theory import compute_constants
 
 from conftest import make_reference, make_single_mode
 
+DEEP_SOLVE = Path(__file__).resolve().parent.parent / "phi4bench" / "configs" / "deep_solve.ini"
 
 @pytest.fixture(scope="module")
 def deep_reference():
@@ -62,8 +64,13 @@ def interior_vector(basis, reach, seed):
 
 def ccr_one_call_per_product(ham, count, seed):
     """check_ccr's measure with each of its twelve ladder products a single-vector call
-    on the whole basis: the drawn interior rows zero-padded to ``basis.dim``."""
+    on the whole basis: the drawn interior rows zero-padded to ``basis.dim``.  Each
+    difference is exactly zero beyond the length the check gives it, and every norm,
+    the row's too, is taken on the check's prefix, so that both sides sum the same
+    entries."""
     basis, grid = ham.basis, ham.grid
+    n = basis.n_max
+    lengths = (basis.grade_end(n - 2), basis.grade_end(n - 4), basis.dim)  # mixed, same_a, same_c
     rng = np.random.default_rng(seed)
     rows = np.concatenate(list(verify._interior_blocks(basis, 2, count, seed + 1)))
     worst = 0.0
@@ -83,8 +90,10 @@ def ccr_one_call_per_product(ham, count, seed):
         mixed = a(f, c(g, v)) - c(g, a(f, v)) - pairing * v
         same_a = a(f, a(g, v)) - a(g, a(f, v))
         same_c = c(f, c(g, v)) - c(g, c(f, v))
-        scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
-        worst = max(worst, *(np.linalg.norm(d) / (scale + 1e-300) for d in (mixed, same_a, same_c)))
+        scale = abs(pairing) * np.linalg.norm(row) + np.linalg.norm(f) * np.linalg.norm(g)
+        for d, end in zip((mixed, same_a, same_c), lengths):
+            assert not d[end:].any()
+            worst = max(worst, np.linalg.norm(d[:end]) / (scale + 1e-300))
     return worst
 
 
@@ -93,15 +102,21 @@ class TestIdentitySuite:
         grid, quad, basis, ham = reference_model
         assert check_ccr(ham, count=100, seed=0).passed
 
-    @pytest.mark.parametrize("model", ["reference", "planar"])
-    def test_ccr_measures_what_one_call_per_product_does(self, model, reference_model, monkeypatch):
+    @pytest.mark.parametrize(
+        ("model", "seed"), [("reference", 3), ("planar", 3), ("deep-solve", 19)]
+    )
+    def test_ccr_measures_what_one_call_per_product_does(self, model, seed, reference_model, monkeypatch):
         # check_ccr applies each product to its operand's basis prefix: 10 calls
         # per vector, equal bit for bit to full-length calls on the padded vector
-        ham = reference_model[3] if model == "reference" else make_planar()
-        expected = ccr_one_call_per_product(ham, 12, 3)
+        if model == "deep-solve":  # n_max 20, where whole-basis norms differ in the last bit
+            grid, quad, basis = build_model(parse_config(DEEP_SOLVE))
+            ham = HamiltonianSet(basis, grid, quad)
+        else:
+            ham = reference_model[3] if model == "reference" else make_planar()
+        expected = ccr_one_call_per_product(ham, 12, seed)
         calls = []
         monkeypatch.setattr(verify, "apply_smeared", lambda *a: calls.append(a) or apply_smeared(*a))
-        outcome = check_ccr(ham, count=12, seed=3)
+        outcome = check_ccr(ham, count=12, seed=seed)
         assert outcome.measured == expected > 0.0
         assert len(calls) == 10 * 12
 
