@@ -199,12 +199,12 @@ def enumerate_basis(num_modes: int, n_max: int, max_dim: int = DEFAULT_BASIS_CAP
 
 
 def apply_mode_annihilation(basis: FockBasis, i: int, v: np.ndarray) -> np.ndarray:
-    """a_i v in the occupation basis: |n> -> sqrt(n_i) |n - e_i>."""
+    """a_i v in the occupation basis: |n> -> sqrt(n_i) |n - e_i>; float64 for a real v."""
     M, t = basis.num_modes, basis.ladders
     if not 0 <= i < M:
         raise ConfigError(f"mode {i} is not one of the {M} modes")
     mine = slice(M - 1 - i, None, M)  # mode i's entries, dst 0, 1, ... (see LadderTable)
-    out = np.zeros(basis.dim, dtype=complex)
+    out = np.zeros(basis.dim, dtype=np.result_type(v, float))
     out[: len(t.dst) // M] = t.amp[mine] * v[t.src[mine]]
     return out
 

@@ -20,11 +20,11 @@ the odd states, or of its transpose (the origin smearing is real).
 Real arithmetic.  D_{-x} = conj(D_x) and phi(0) is real, so on a real vector
 phi(-x)^p v = conj(phi(x)^p v).  When every active node's negative is an
 active node of bit-equal weight (``mirror_fold``), H(kappa) is real symmetric
-in the occupation basis, and the sectors' handles (then ``real``) read a
-float64 vector as real: one column per mirror pair, 2 Re(c_j D_j phi(0)^4
-D_j^+ v), and one per node at the origin, about half the columns of the
-per-node path that a complex vector keeps.  The full-space handles always take
-that per-node path.
+in the occupation basis, and the node sum (``node_sum``; ``hi`` is its fourth
+power) reads a float64 vector as real on every handle: one column per mirror
+pair, 2 Re(c_j D_j phi(0)^p D_j^+ v), and one per node at the origin, about
+half the columns of the per-node path that a complex vector keeps.  The
+sectors' handles are then ``real``, and the solvers keep float64 vectors.
 """
 
 from __future__ import annotations
@@ -63,17 +63,12 @@ class MirrorFold:
     ``index`` picks one node of each pair and each node at the origin from the
     active nodes, ``coef`` is its folded weight: 2 c_j for a pair, c_j at the
     origin.  For a real v and node weights w with w(-x) = conj(w(x)),
-    sum_j c_j w_j phi(x_j)^p v is the real part of the folded sum (``sum``).
+    sum_j c_j w_j phi(x_j)^p v is the real part of the same sum over the fold's
+    nodes with these weights (``node_sum``).
     """
 
     index: np.ndarray
     coef: np.ndarray
-
-    def sum(self, columns: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """sum_j c_j w_j phi(x_j)^p v from ``columns``, phi(x_r)^p v at the fold's nodes r
-        (all nodes' ``weights`` w, 1 if None): real, as the mirror columns are conjugate."""
-        coef = self.coef if weights is None else self.coef * weights[self.index]
-        return (columns @ coef).real
 
 
 def mirror_fold(nodes: np.ndarray, coef: np.ndarray) -> MirrorFold | None:
@@ -97,20 +92,29 @@ def apply_interaction(
 class _Couplings:
     """``h0``, ``hi``, ``hkappa`` from the free diagonal, phase table, node weights and
     field ``steps`` (see ``_field_powers``); the handles close over these, not the set.
-    With a ``fold`` they are ``real``: ``hi`` takes a float64 vector through it."""
+    ``fold()`` gives the ``MirrorFold`` or None, asked for at the first float64 vector;
+    ``real`` (set by the sectors of a mirror-symmetric model) tells the solvers so."""
 
-    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps, fold=None):
+    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps, fold, real=False):
         self.esum, self.phases, self.coef = esum, phases, coef
-        self.real = fold is not None
-        folded = None if fold is None else phases.take(fold.index, axis=1)
+        self.real = real
+        folded = functools.cache(lambda: phases.take(fold().index, axis=1))
 
-        def hi(v):
-            if folded is None or np.iscomplexobj(v):
-                return _field_powers(phases, steps, v, 4) @ coef
-            return fold.sum(_field_powers(folded, steps, v, 4))
+        def node_sum(v, power, weights=None):
+            """sum_j c_j w_j phi(x_j)^power v for node ``weights`` w (all 1 if None): real,
+            through the fold, for a float64 ``v`` of a mirror-symmetric model, else per node."""
+            mirror = None if np.iscomplexobj(v) else fold()
+            if mirror is None:
+                columns = _field_powers(phases, steps, v, power)
+                return columns @ coef if weights is None else (columns * coef) @ weights
+            # the fold's phase columns: kept where solvers reuse them, taken per call on the full space
+            table = folded() if real else phases.take(mirror.index, axis=1)
+            folded_coef = mirror.coef if weights is None else mirror.coef * weights[mirror.index]
+            return (_field_powers(table, steps, v, power) @ folded_coef).real
 
-        self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum), real=self.real)
-        self.hi = OperatorHandle(apply=hi, dim=len(esum), real=self.real)
+        self._node_sum = node_sum
+        self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum), real=real)
+        self.hi = OperatorHandle(apply=lambda v: node_sum(v, 4), dim=len(esum), real=real)
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
@@ -136,11 +140,11 @@ class HamiltonianSet(_Couplings):
     ``(dim, N_active)`` phase table ``phases``, whose column j is the diagonal
     of D_j = exp(-i p_n . x_j), p_n = sum_i n_i k_i the total momentum of
     basis state n.  So a matvec costs one Segal ``apply_smeared`` at the
-    origin per power of the field; the handles and ``field_powers`` take
-    basis prefixes.  A set is freed as soon as it is unreferenced.  The
-    nodes' ``fold`` (``mirror_fold``, None on a model without the mirror
-    symmetry), the parity sectors ``even`` and ``odd`` and their
-    ``origin_block`` are built on first use.
+    origin per power of the field; the handles, ``field_powers`` and
+    ``node_sum`` take basis prefixes.  A set is freed as soon as it is
+    unreferenced.  The nodes' ``fold`` (``mirror_fold``, None on a model
+    without the mirror symmetry), the parity sectors ``even`` and ``odd`` and
+    their ``origin_block`` are built on first use.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
@@ -157,15 +161,12 @@ class HamiltonianSet(_Couplings):
             return apply_smeared(basis, grid, origin, w.T, "segal").T
 
         self._steps = (segal, segal)
-        super().__init__(basis.states @ grid.omega, phases, coef, self._steps)
+        self._fold = functools.cache(lambda nodes=self.nodes: mirror_fold(nodes, coef))
+        super().__init__(basis.states @ grid.omega, phases, coef, self._steps, self._fold)
 
     def field_powers(self, v: np.ndarray, power: int) -> np.ndarray:
         """Columns phi(x_j)^power v_j, ``v`` one vector or one column per node."""
         return _field_powers(self.phases, self._steps, v, power)
-
-    def folded_powers(self, v: np.ndarray, power: int) -> np.ndarray:
-        """Columns phi(x_r)^power v at the nodes r of ``fold``, for ``fold.sum``."""
-        return _field_powers(self.phases.take(self.fold.index, axis=1), self._steps, v, power)
 
     @functools.cached_property
     def origin_block(self) -> scipy.sparse.csr_matrix:
@@ -180,7 +181,8 @@ class HamiltonianSet(_Couplings):
         rows, cols = local[np.where(src_odd, t.src, t.dst)], local[np.where(src_odd, t.dst, t.src)]
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(odd.sum(), (~odd).sum()))
 
-    fold = functools.cached_property(lambda self: mirror_fold(self.nodes, self.coef))
+    fold = property(lambda self: self._fold())
+    node_sum = property(lambda self: self._node_sum)  # node_sum(v, power, weights=None), see _Couplings
     even = functools.cached_property(lambda self: ParitySector(self, 0))
     odd = functools.cached_property(lambda self: ParitySector(self, 1))
 
@@ -205,7 +207,8 @@ class ParitySector(_Couplings):
         block = ham.origin_block
         ops = (block, block.T) if parity == 0 else (block.T, block)
         steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
-        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps, ham.fold)
+        real = ham.fold is not None
+        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps, ham._fold, real)
         # unlike the full space's, the block products take no prefix; hkappa applies these
         name, dim = ("even", "odd")[parity], self.dim
 

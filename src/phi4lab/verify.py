@@ -44,6 +44,12 @@ TOP_GRADE_REACH = 4
 INEQUALITY_REACH = 8
 # relative size at which the interior truncation defect counts as roundoff
 DEFECT_ROUNDOFF = 1e-12
+# tolerances of the ground-state checks
+NUMBER_TOL = 1e-10  # boson-number slack, relative to max(1, ceiling)
+LADDER_SUM_TOL = 1e-12  # <v, N v> against sum_i ||a_i v||^2, relative
+OVERLAP_TOL = 1e-12  # vacuum-overlap slack
+ENERGY_TOL = 1e-9  # eigenprojection energy residual, relative to max(1, |e0|)
+PROJECTION_TOL = 1e-8  # eigenprojection vector residual
 # rows per block of the batched identity checks; at dim 5,005 blocks of 100 and
 # 10 rows raised the peak RSS of `verify` by 46 MB and 2 MB, blocks of 5 not
 BLOCK_ROWS = 5
@@ -82,9 +88,9 @@ def _interior_blocks(basis: FockBasis, reach: int, count: int, seed: int):
         yield block
 
 
-def top_grade_weight(basis: FockBasis, v: np.ndarray, reach: int = TOP_GRADE_REACH) -> float:
-    """Total squared weight of v in the top ``reach`` grades."""
-    return float(np.sum(np.abs(v[basis.grade_end(basis.n_max - reach) :]) ** 2))
+def top_grade_weight(basis: FockBasis, v: np.ndarray) -> float:
+    """Total squared weight of v in the top TOP_GRADE_REACH grades."""
+    return float(np.sum(np.abs(v[basis.grade_end(basis.n_max - TOP_GRADE_REACH) :]) ** 2))
 
 
 def _rel(diff: float, scale: float) -> float:
@@ -416,8 +422,6 @@ def check_number_bound(
     state: SpectralResult,
     fam: EpsilonFamily,
     ham: HamiltonianSet,
-    tol: float = 1e-10,
-    cross_tol: float = 1e-12,
 ) -> CheckOutcome:
     """Ground-state boson number against its closed-form ceiling.
 
@@ -433,7 +437,7 @@ def check_number_bound(
         ladder_sum += float(np.linalg.norm(apply_mode_annihilation(basis, i, v))) ** 2
     cross_rel = _rel(abs(nb - ladder_sum), max(nb, 1.0))
     slack = fam.c_number - nb
-    ok = slack >= -tol * max(1.0, fam.c_number) and cross_rel <= cross_tol
+    ok = slack >= -NUMBER_TOL * max(1.0, fam.c_number) and cross_rel <= LADDER_SUM_TOL
     return CheckOutcome(
         "boson-number-bound",
         "pass" if ok else "fail",
@@ -453,7 +457,6 @@ def check_overlap(
     state: SpectralResult,
     basis: FockBasis,
     c_number: float | None = None,
-    tol: float = 1e-12,
 ) -> CheckOutcome:
     """Vacuum overlap bounds from the boson number.
 
@@ -465,12 +468,12 @@ def check_overlap(
     overlap = abs(v[0])
     nb = float(np.real(np.vdot(v, basis.grades * v)))
     slack = overlap**2 - (1.0 - nb)
-    ok = slack >= -tol
+    ok = slack >= -OVERLAP_TOL
     context = {"overlap": overlap, "number": nb, "slack": slack}
     if c_number is not None and 1.0 - c_number > 0.0:
         stronger = overlap - math.sqrt(1.0 - c_number)
         context["stronger_slack"] = stronger
-        ok = ok and stronger >= -tol
+        ok = ok and stronger >= -OVERLAP_TOL
     return CheckOutcome("vacuum-overlap", "pass" if ok else "fail", overlap, 1.0, context)
 
 
@@ -510,9 +513,9 @@ def check_pull_through(
     H_N - E0 >= 0 up to the squared eigen-residual, and the resolvent solve's
     ``cg_iterations`` and final relative ``cg_residual``: CG runs in the odd
     sector ``ham.odd``, where the source of an even psi lies, preconditioned
-    by its free diagonal plus omega_i.  A real psi on a mirror-symmetric model
-    gets a source real by construction, one column per mirror pair
-    (``ham.fold``), so the solve runs in float64.  A residual above ``tol``
+    by its free diagonal plus omega_i.  The source is ``ham.node_sum``, real by
+    construction for a real psi on a mirror-symmetric model, so the solve and
+    every ``H`` product of the check then run in float64.  A residual above ``tol``
     passes with a caveat only when the solver part is within ``tol`` and the
     defect is confined to the top grades (interior part at roundoff);
     otherwise the check fails.
@@ -537,11 +540,6 @@ def check_pull_through(
                 )
             )
         return outcomes
-    fold = None if np.iscomplexobj(v) else ham.fold
-    if fold is None:
-        sources = ham.field_powers(v, 3) * ham.coef  # column j: c_j phi(x_j)^3 psi
-    else:
-        sources = ham.folded_powers(v, 3)
     hk, odd = ham.hkappa(kappa), ham.odd
     hk_odd = odd.hkappa(kappa)
     hi_v = ham.hi(v)
@@ -552,7 +550,7 @@ def check_pull_through(
         lhs = apply_mode_annihilation(basis, i, v) / sqw
         lhs_norm = float(np.linalg.norm(lhs))
         phase = np.exp(-1j * (ham.nodes @ grid.modes[i]))
-        rhs_src = sources @ phase if fold is None else fold.sum(sources, phase)
+        rhs_src = ham.node_sum(v, 3, phase)
         shift = omega - state.e0
         y, cg_iterations, cg_residual = solve_shifted(
             hk_odd, shift, rhs_src[odd.index], precond=odd.esum + omega, emin=state.e0, tol=lin_tol
@@ -609,8 +607,6 @@ def check_arai_identities(
     state: SpectralResult,
     kappa: float,
     ham: HamiltonianSet,
-    tol_energy: float = 1e-9,
-    tol_vector: float = 1e-8,
 ) -> CheckOutcome:
     """Eigenprojection identities of the vacuum-normalized ground state.
 
@@ -625,7 +621,7 @@ def check_arai_identities(
             f"ground energy {state.e0} not below the reduced free spectrum {min_omega}"
         )
     v = state.vector
-    overlap = complex(v[0])
+    overlap = v[0]
     if abs(overlap) < 1e-14:
         raise SpectralConditionViolated("vacuum overlap vanishes; normalization undefined")
     tilde = v / overlap
@@ -633,18 +629,18 @@ def check_arai_identities(
     resid_energy = abs(state.e0 - kappa * complex(hi_tilde[0]))
     corr = apply_h0perp_inverse(ham.esum, hi_tilde, shift=state.e0)
     resid_vector = float(np.linalg.norm(tilde - basis.vacuum() + kappa * corr))
-    thr_energy = tol_energy * max(1.0, abs(state.e0))
-    ok = resid_energy <= thr_energy and resid_vector <= tol_vector
+    thr_energy = ENERGY_TOL * max(1.0, abs(state.e0))
+    ok = resid_energy <= thr_energy and resid_vector <= PROJECTION_TOL
     return CheckOutcome(
         "eigenprojection-identities",
         "pass" if ok else "fail",
         max(resid_energy / max(1.0, abs(state.e0)), resid_vector),
-        max(tol_energy, tol_vector),
+        max(ENERGY_TOL, PROJECTION_TOL),
         {
             "energy_residual": resid_energy,
             "energy_threshold": thr_energy,
             "vector_residual": resid_vector,
-            "vector_threshold": tol_vector,
+            "vector_threshold": PROJECTION_TOL,
             "tilde_norm": float(np.linalg.norm(tilde)),
             "kappa": kappa,
         },

@@ -186,6 +186,15 @@ class TestLadders:
             assert np.allclose(create(basis, i, v), cre[i] @ v, atol=1e-15)
             assert np.allclose(apply_mode_annihilation(basis, i, v), ann[i] @ v, atol=1e-15)
 
+    def test_annihilation_keeps_the_dtype_of_its_input(self):
+        # a real vector stays float64, the complex path of its cast bit for bit
+        basis = enumerate_basis(2, 4)
+        v = np.random.default_rng(6).standard_normal(basis.dim)
+        for i in range(2):
+            real, cast = apply_mode_annihilation(basis, i, v), apply_mode_annihilation(basis, i, v.astype(complex))
+            assert real.dtype == np.float64 and cast.dtype == complex
+            assert np.array_equal(real, cast.real) and not cast.imag.any()
+
     def test_mode_ccr_on_interior(self):
         basis = enumerate_basis(2, 4)
         v = rand_vec(basis, seed=5, interior=2)

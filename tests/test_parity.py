@@ -267,7 +267,8 @@ def test_one_ulp_off_a_mirror_weight_fails_the_mirror_test(model):
 
 
 def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
-    # one column per mirror pair and per node at the origin, each two float64 columns
+    # one column per mirror pair and per node at the origin, each two float64 columns,
+    # in the sectors and on the full space
     _, _, _, ham, _ = model
     widths = []
     for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
@@ -275,9 +276,9 @@ def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
             cls, "__matmul__", lambda op, x, _m=cls.__matmul__: widths.append(x.shape[1]) or _m(op, x)
         )
     rng = np.random.default_rng(4)
-    for sector in (ham.even, ham.odd):
-        v = rng.standard_normal(sector.dim)
-        for handle in (sector.hi, sector.hkappa(0.05)):
+    for space in (ham.even, ham.odd, ham):
+        v = rng.standard_normal(space.hi.dim)
+        for handle in (space.hi, space.hkappa(0.05)):
             widths.clear()
             real = handle(v)
             assert real.dtype == np.float64 and widths == [2 * len(ham.fold.index)] * 4
@@ -293,13 +294,31 @@ def test_the_folded_source_is_the_per_node_source(model):
     grid, _, basis, ham, _ = model
     psi = ham.even.embed(np.random.default_rng(5).standard_normal(ham.even.dim))
     sources = ham.field_powers(psi, 3) * ham.coef
-    columns = ham.folded_powers(psi, 3)
-    assert columns.shape == (basis.dim, len(ham.fold.index))
     for i in range(basis.num_modes):
         phase = np.exp(-1j * (ham.nodes @ grid.modes[i]))
-        per_node, folded = sources @ phase, ham.fold.sum(columns, phase)
+        per_node, folded = sources @ phase, ham.node_sum(psi, 3, phase)
         assert folded.dtype == np.float64
         assert np.abs(folded - per_node).max() <= 1e-14 * np.abs(per_node).max()
+        assert np.array_equal(ham.node_sum(psi.astype(complex), 3, phase), per_node)
+
+
+def test_the_checks_of_a_real_ground_state_read_only_the_folded_phase_table(monkeypatch):
+    # every node sum of check_state takes the fold: the sectors', the full space's and
+    # the pull-through sources
+    params = parse_config(ROOT / "configs" / "reference.ini")
+    grid, quad, basis = build_model(params)
+    ham = HamiltonianSet(basis, grid, quad)
+    state = ground_state(ham.even.hkappa(params.coupling), ham.even.dim, tol=params.eig_tol, seed=params.seed)
+    state.vector = ham.even.embed(state.vector)
+    widths = []
+    monkeypatch.setattr(
+        hamiltonian,
+        "_field_powers",
+        lambda phases, *rest, _f=hamiltonian._field_powers: widths.append(phases.shape[1]) or _f(phases, *rest),
+    )
+    _, outcomes = verify.check_state(state, params.coupling, ham, params)
+    assert all(o.passed for o in outcomes)
+    assert len(widths) >= 4 and set(widths) == {len(ham.fold.index)} and len(ham.fold.index) < len(ham.nodes)
 
 
 def test_the_suite_fails_on_a_dropped_imaginary_part():
