@@ -57,7 +57,7 @@ def cmd_solve(params: ModelParams, out_dir: Path) -> int:
     state.vector = even.embed(state.vector)
     state.top_grade_weight = top_grade_weight(basis, state.vector)
     outcomes = command_outcomes(ham, params, state)
-    doc = document("solve", params, kappa=kappa, state=state, constants=consts, outcomes=outcomes)
+    doc = document("solve", params, state=state, constants=consts, outcomes=outcomes)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(doc, out_dir / "solve.json")
     if params.dump_vectors:

@@ -294,6 +294,8 @@ def _trapezoid_axis(lo: float, hi: float, n: int) -> tuple[np.ndarray, np.ndarra
     if n == 1:
         return np.array([(lo + hi) / 2.0]), np.array([hi - lo if hi > lo else 1.0])
     nodes = np.linspace(lo, hi, n)
+    if lo == -hi:  # linspace can miss the mirror by an ulp; make the nodes exactly antisymmetric
+        nodes = (nodes - nodes[::-1]) / 2.0
     h = (hi - lo) / (n - 1)
     w = np.full(n, h)
     w[0] *= 0.5

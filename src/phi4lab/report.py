@@ -55,7 +55,6 @@ def document(
     kind: str,
     params: ModelParams,
     *,
-    kappa: float | None = None,
     state: SpectralResult | None = None,
     constants: TheoryConstants | None = None,
     outcomes: list[CheckOutcome] | None = None,
@@ -63,12 +62,12 @@ def document(
 ) -> dict:
     """The stored report of one ``solve``, ``verify`` or ``sweep`` run.
 
-    After the run header come the parts given, in this order: ``kappa`` and
-    ``ground_state`` (the ``SpectralResult`` without its vector),
-    ``constants``, ``checks`` (one ``CheckOutcome`` each) and ``all_passed``,
-    ``rows`` (each ``SweepRow`` with ``extras`` last) and ``summary`` (the
-    ``SweepReport`` without rows and constants).  Every record keeps its
-    dataclass's field names in declared order.
+    After the run header come the parts given, in this order: ``kappa``
+    (``params.coupling``) and ``ground_state`` (the ``SpectralResult`` without
+    its vector), ``constants``, ``checks`` (one ``CheckOutcome`` each) and
+    ``all_passed``, ``rows`` (each ``SweepRow`` with ``extras`` last) and
+    ``summary`` (the ``SweepReport`` without rows and constants).  Every record
+    keeps its dataclass's field names in declared order.
     """
     doc = {
         "kind": kind,
@@ -77,7 +76,7 @@ def document(
         "seed": params.seed,
     }
     if state is not None:
-        doc["kappa"] = kappa
+        doc["kappa"] = params.coupling
         doc["ground_state"] = _fields(state, "vector")
     if constants is not None:
         doc["constants"] = vars(constants)

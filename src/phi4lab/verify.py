@@ -3,7 +3,9 @@
 Every check returns a CheckOutcome carrying the measured number, the
 threshold it was held to, and enough context to reproduce the number.
 Inequality checks report their slack; a violation beyond tolerance fails the
-outcome with the offending numbers in the context.
+outcome with the offending numbers in the context.  A sampled check's verdict
+is ``_judged``'s: its largest measure within the threshold, where a NaN
+measure is the largest, so a check never passes on a NaN.
 
 Identities that are exact only without truncation are asserted on interior
 vectors (see the fock module) and the grade reach used is stated with each
@@ -44,6 +46,9 @@ TOP_GRADE_REACH = 4
 INEQUALITY_REACH = 8
 # relative size at which the interior truncation defect counts as roundoff
 DEFECT_ROUNDOFF = 1e-12
+# tolerances of the sampled bound checks
+LADDER_BOUND_TOL = 1e-12  # ladder and field norms, relative to the bound
+INEQUALITY_TOL = 1e-10  # h-bound and cubic-field bound, relative to the bound
 # tolerances of the ground-state checks
 NUMBER_TOL = 1e-10  # boson-number slack, relative to max(1, ceiling)
 LADDER_SUM_TOL = 1e-12  # <v, N v> against sum_i ||a_i v||^2, relative
@@ -97,6 +102,16 @@ def _rel(diff: float, scale: float) -> float:
     return diff / (scale + _FLOOR)
 
 
+def _judged(name: str, measures, tol: float, context: dict) -> CheckOutcome:
+    """The outcome of a check that passes iff its largest measure is ``<= tol``.
+
+    ``measured`` is the largest of ``measures`` (-inf when there are none),
+    and NaN when any measure is NaN, so a NaN measure fails the check.
+    """
+    worst = float(np.max(measures, initial=-math.inf))
+    return CheckOutcome(name, "pass" if worst <= tol else "fail", worst, tol, context)
+
+
 # ---------------------------------------------------------------------------
 # algebraic identity suite
 
@@ -122,7 +137,7 @@ def check_ccr(
     def c(fn, u):
         return apply_smeared(basis, grid, fn, u, "create")
 
-    worst = 0.0
+    measures = []
     for v in vectors:
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         g = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
@@ -135,14 +150,8 @@ def check_ccr(
         same_a = af_ag - a(g, a_f)
         same_c = cf_cg - c(g, c_f)
         scale = abs(pairing) * np.linalg.norm(v) + np.linalg.norm(f) * np.linalg.norm(g)
-        worst = max(
-            worst,
-            _rel(np.linalg.norm(mixed), scale),
-            _rel(np.linalg.norm(same_a), scale),
-            _rel(np.linalg.norm(same_c), scale),
-        )
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome("ccr", status, worst, tol, {"count": count, "reach": 2})
+        measures += [_rel(np.linalg.norm(d), scale) for d in (mixed, same_a, same_c)]
+    return _judged("ccr", measures, tol, {"count": count, "reach": 2})
 
 
 def check_free_commutators(
@@ -159,7 +168,7 @@ def check_free_commutators(
     basis, grid, h0 = ham.basis, ham.grid, ham.h0
     rng = np.random.default_rng(seed)
     vectors = (v for block in _interior_blocks(basis, 1, count, seed + 1) for v in block)
-    worst = 0.0
+    measures = []
     for v in vectors:
         f = rng.standard_normal(basis.num_modes) + 1j * rng.standard_normal(basis.num_modes)
         wf = grid.omega * f
@@ -173,21 +182,14 @@ def check_free_commutators(
         comm_a = f_a[0] - h0(f_a[1]) - op(wf, v, "annihilate")
         comm_c = f_c[0] - h0(f_c[1]) + op(wf, v, "create")
         comm_s = f_s[0] - h0(f_s[1]) - 1j * op(1j * wf, v, "segal")
-        worst = max(
-            worst,
-            _rel(np.linalg.norm(comm_a), scale),
-            _rel(np.linalg.norm(comm_c), scale),
-            _rel(np.linalg.norm(comm_s), scale),
-        )
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome("free-commutators", status, worst, tol, {"count": count, "reach": 1})
+        measures += [_rel(np.linalg.norm(comm), scale) for comm in (comm_a, comm_c, comm_s)]
+    return _judged("free-commutators", measures, tol, {"count": count, "reach": 1})
 
 
 def check_ladder_bounds(
     ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> CheckOutcome:
     """Relative bounds of ladder and field operators by the free energy.
 
@@ -196,12 +198,13 @@ def check_ladder_bounds(
     ||phi(f) v|| <= sqrt2 ||f/sqrt(omega)|| ||H0^{1/2} v|| + ||f||/sqrt2 ||v||
 
     These hold on the whole truncated space (truncation only shrinks norms),
-    so random vectors are not projected.  The reported measure is the worst
-    negative slack relative to the right-hand side.
+    so random vectors are not projected.  The reported measure is the largest
+    signed relative excess (lhs - rhs) / rhs: negative while every bound holds
+    with room, at most LADDER_BOUND_TOL to pass.
     """
     basis, grid = ham.basis, ham.grid
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    measures = []
     for _ in range(count):
         v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
         v /= np.linalg.norm(v)
@@ -217,10 +220,8 @@ def check_ladder_bounds(
             (nc, f_over * h0_half + f_norm),
             (ns, math.sqrt(2.0) * f_over * h0_half + f_norm / math.sqrt(2.0)),
         )
-        for lhs, rhs in bounds:
-            worst = max(worst, _rel(lhs - rhs, rhs))
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome("ladder-bounds", status, worst, tol, {"count": count})
+        measures += [_rel(lhs - rhs, rhs) for lhs, rhs in bounds]
+    return _judged("ladder-bounds", measures, LADDER_BOUND_TOL, {"count": count})
 
 
 def check_double_commutator(
@@ -250,8 +251,7 @@ def check_double_commutator(
     def inner_comm(u, phi2_u):
         return phi2(h0(u)) - h0(phi2_u)
 
-    worst = 0.0
-    bound_worst = 0.0
+    measures, bound_measures = [], []
     # C-contiguous rows keep each reduction bit-identical to a single-vector call
     for block in _interior_blocks(basis, 4, count, seed):
         p2 = phi2(block)
@@ -260,19 +260,13 @@ def check_double_commutator(
         diff_rows = lhs_rows.copy()
         diff_rows[:, : rhs_rows.shape[1]] -= rhs_rows
         for v, lhs, rhs, diff in zip(block, lhs_rows, rhs_rows, diff_rows):
-            worst = max(worst, _rel(np.linalg.norm(diff), np.linalg.norm(rhs)))
+            measures.append(_rel(np.linalg.norm(diff), np.linalg.norm(rhs)))
             quad_form = abs(np.vdot(v, lhs[: len(v)]))
             h0_exp = float(np.real(np.vdot(v, h0(v))))
             bound = 4.0 * sqf2 * (4.0 * f_over2 * h0_exp + f_norm2 * float(np.vdot(v, v).real))
-            bound_worst = max(bound_worst, _rel(quad_form - bound, bound))
-    status = "pass" if worst <= tol and bound_worst <= tol else "fail"
-    return CheckOutcome(
-        "double-commutator",
-        status,
-        worst,
-        tol,
-        {"count": count, "reach": 4, "bound_slack_rel": -bound_worst},
-    )
+            bound_measures.append(_rel(quad_form - bound, bound))
+    context = {"count": count, "reach": 4, "bound_slack_rel": -float(np.max(bound_measures, initial=-math.inf))}
+    return _judged("double-commutator", measures + bound_measures, tol, context)
 
 
 def check_weak_commutator(
@@ -295,7 +289,7 @@ def check_weak_commutator(
     def phi(u):  # C-contiguous rows keep each reduction bit-identical to a single call
         return np.ascontiguousarray(apply_smeared(basis, grid, smear, u, "segal"))
 
-    worst = 0.0
+    measures = []
     # phi(x) acts on blocks, a(f) and a+(f) on single vectors, as f varies
     for block in _interior_blocks(basis, 4, count, seed + 1):
         us, fs = np.empty((len(block), basis.dim), complex), []
@@ -311,11 +305,8 @@ def check_weak_commutator(
             pairing = np.sum(grid.weights * np.conj(f) * smear)
             rhs = -2.0 * math.sqrt(2.0) * pairing * np.vdot(u[: len(phi3v)], phi3v)
             scale = abs(lhs) + abs(rhs)
-            worst = max(worst, _rel(abs(lhs - rhs), scale))
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome(
-        "weak-commutator-quartic", status, worst, tol, {"count": count, "reach": 4}
-    )
+            measures.append(_rel(abs(lhs - rhs), scale))
+    return _judged("weak-commutator-quartic", measures, tol, {"count": count, "reach": 4})
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +318,6 @@ def check_hbound(
     ham: HamiltonianSet,
     count: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> CheckOutcome:
     """Quadratic-form domination of the free and interaction parts.
 
@@ -341,8 +331,7 @@ def check_hbound(
     epsilon, kappa = fam.epsilon, fam.kappa
     c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
     vectors = (v for block in _interior_blocks(ham.basis, INEQUALITY_REACH, count, seed) for v in block)
-    min_slack = math.inf
-    worst = -math.inf
+    slacks, measures = [], []
     for v in vectors:
         h0v, hiv = ham.h0(v), ham.hi(v)
         hkv = kappa * hiv  # H0 v adds to the leading part, as in ``ham.hkappa``
@@ -357,23 +346,17 @@ def check_hbound(
         rhs2 = fam.lam * n_hk + fam.mu * n_v
         for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2)):
             slack = rhs - lhs
-            min_slack = min(min_slack, slack)
-            worst = max(worst, _rel(-slack, abs(rhs)))
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome(
-        "h-bound",
-        status,
-        worst,
-        tol,
-        {"count": count, "reach": INEQUALITY_REACH, "min_slack": min_slack, "epsilon": epsilon, "kappa": kappa},
-    )
+            slacks.append(slack)
+            measures.append(_rel(-slack, abs(rhs)))
+    min_slack = float(np.min(slacks, initial=math.inf))
+    context = {"count": count, "reach": INEQUALITY_REACH, "min_slack": min_slack, "epsilon": epsilon, "kappa": kappa}
+    return _judged("h-bound", measures, INEQUALITY_TOL, context)
 
 
 def check_phi3_bound(
     psi: np.ndarray,
     fam: EpsilonFamily,
     ham: HamiltonianSet,
-    tol: float = 1e-10,
 ) -> CheckOutcome:
     """Pointwise and integrated cubic-field overlap bounds.
 
@@ -401,13 +384,10 @@ def check_phi3_bound(
         fam.mu + 0.5 * kappa**2 * ham.quadrature.chi_l1**2
     ) * norm2
     int_viol = _rel(lhs - rhs, abs(rhs))
-    worst = max(point_worst, int_viol)
-    status = "pass" if worst <= tol else "fail"
-    return CheckOutcome(
+    return _judged(
         "cubic-field-bound",
-        status,
-        worst,
-        tol,
+        [point_worst, int_viol],
+        INEQUALITY_TOL,
         {
             "pointwise_worst_rel": point_worst,
             "integrated_lhs": lhs,
@@ -530,15 +510,7 @@ def check_pull_through(
         for i in range(basis.num_modes):
             lhs = apply_mode_annihilation(basis, i, v) / math.sqrt(grid.weights[i])
             resid = _rel(np.linalg.norm(lhs), np.linalg.norm(v))
-            outcomes.append(
-                CheckOutcome(
-                    f"pull-through[mode {i}]",
-                    "pass" if resid <= tol else "fail",
-                    resid,
-                    tol,
-                    {"mode": i, "kappa": 0.0},
-                )
-            )
+            outcomes.append(_judged(f"pull-through[mode {i}]", [resid], tol, {"mode": i, "kappa": 0.0}))
         return outcomes
     hk, odd = ham.hkappa(kappa), ham.odd
     hk_odd = odd.hkappa(kappa)
@@ -898,7 +870,7 @@ def _sweep_row(ham: HamiltonianSet, row: SweepRow, params: ModelParams) -> Sweep
         n_expect=measured["boson-number-bound"],
         c_eps_kappa=fam.c_number,
         overlap=measured["vacuum-overlap"],
-        pullthrough_resid=max(m for name, m in measured.items() if name.startswith("pull-through")),
+        pullthrough_resid=float(np.max([m for name, m in measured.items() if name.startswith("pull-through")])),
         top_grade_weight=state.top_grade_weight,
         extras={
             "epsilon_star": fam.epsilon,

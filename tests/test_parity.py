@@ -244,6 +244,18 @@ def test_every_shipped_config_is_mirror_symmetric(path):
     assert ham.even.hkappa(0.05).real and ham.odd.hi.real and not ham.hkappa(0.05).real
 
 
+@pytest.mark.parametrize("n", [9, 13, 21, 25, 41])
+def test_symmetric_quadrature_nodes_are_exact_mirrors(n):
+    # np.linspace(-1, 1, n) misses the mirror by an ulp at 13, 21, 25 and 41 nodes
+    grid, _, basis = make_reference(n_max=2)
+    quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), n)
+    nodes = quad.nodes[:, 0]
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.abs(nodes - np.linspace(-1.0, 1.0, n)).max() <= 1.2e-16
+    assert n != 9 or np.array_equal(nodes, np.linspace(-1.0, 1.0, 9))
+    assert HamiltonianSet(basis, grid, quad).fold is not None
+
+
 def test_the_fold_takes_one_node_per_mirror_pair(model):
     ham = model[3]
     fold = ham.fold

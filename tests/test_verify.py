@@ -139,6 +139,25 @@ class TestIdentitySuite:
         grid, quad, basis, ham = reference_model
         assert check_ladder_bounds(ham, count=100, seed=0).passed
 
+    def test_ladder_bounds_report_the_signed_largest_excess(self, reference_model):
+        # measured is the largest (lhs - rhs) / rhs over the bounds drawn: negative
+        # while every bound holds with room, not floored at zero
+        grid, quad, basis, ham = reference_model
+        rng = np.random.default_rng(2)
+        excess = []
+        for _ in range(10):
+            v = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            v /= np.linalg.norm(v)
+            f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            f_norm = math.sqrt(np.sum(grid.weights * np.abs(f) ** 2))
+            f_over_h0 = math.sqrt(np.sum(grid.weights * np.abs(f) ** 2 / grid.omega) * np.vdot(v, ham.h0(v)).real)
+            bounds = (f_over_h0, f_over_h0 + f_norm, math.sqrt(2.0) * f_over_h0 + f_norm / math.sqrt(2.0))
+            for which, rhs in zip(("annihilate", "create", "segal"), bounds):
+                excess.append((np.linalg.norm(apply_smeared(basis, grid, f, v, which)) - rhs) / rhs)
+        outcome = check_ladder_bounds(ham, count=10, seed=2)
+        assert outcome.passed and outcome.measured == pytest.approx(max(excess), rel=1e-12)
+        assert outcome.measured < 0.0
+
     def test_double_commutator_zero_smearing(self, reference_model):
         grid, quad, basis, ham = reference_model
         outcome = check_double_commutator(
@@ -177,6 +196,11 @@ class TestIdentitySuite:
         outcome = check_double_commutator(f, ham, count=100, seed=3, tol=1e-10)
         assert outcome.passed
         assert outcome.measured <= 1e-10
+
+    def test_double_commutator_reports_its_quadratic_form_slack(self, reference_model):
+        grid, quad, basis, ham = reference_model
+        outcome = check_double_commutator(grid.rho.astype(complex), ham, count=10, seed=7)
+        assert outcome.passed and 0.0 < outcome.context["bound_slack_rel"] < 1.0
 
     def test_weak_commutator(self, reference_model):
         grid, quad, basis, ham = reference_model
@@ -394,6 +418,43 @@ class TestInequalitySuite:
         outcome = check_overlap(state, basis)
         assert outcome.passed
         assert outcome.context["slack"] >= 0
+
+
+class TestVerdict:
+    """A sampled check passes iff its largest measure is within its threshold, and a
+    NaN measure is the largest."""
+
+    @pytest.fixture(scope="class")
+    def overflowing(self):
+        # valid mode weights of 1e300 overflow the smeared products: every measure is NaN
+        uv = CutoffSpec("indicator", (-10.0, 10.0))
+        grid = build_grid(1, 1.0, uv, modes=np.array([[-2.0], [0.0], [2.0]]), weights=np.full(3, 1e300))
+        quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), 9)
+        return HamiltonianSet(enumerate_basis(3, 6), grid, quad)
+
+    @pytest.mark.parametrize(
+        "measures, status, measured",
+        [
+            ([], "pass", -math.inf),
+            ([-0.5, 1e-12], "pass", 1e-12),
+            ([0.0, 2e-12], "fail", 2e-12),
+            ([0.0, math.nan, -1.0], "fail", math.nan),
+        ],
+    )
+    def test_judged_reports_the_nan_propagating_maximum(self, measures, status, measured):
+        outcome = verify._judged("check", measures, 1e-12, {"count": len(measures)})
+        assert (outcome.status, outcome.threshold, outcome.context) == (status, 1e-12, {"count": len(measures)})
+        assert outcome.measured == measured or (math.isnan(outcome.measured) and math.isnan(measured))
+
+    def test_weak_commutator_fails_on_nan_measures(self, overflowing):
+        outcome = check_weak_commutator(overflowing, 0.0, count=5, seed=7)
+        assert outcome.status == "fail" and math.isnan(outcome.measured)
+
+    def test_double_commutator_fails_on_nan_measures(self, overflowing):
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcome = check_double_commutator(overflowing.grid.rho.astype(complex), overflowing, count=5, seed=7)
+        assert outcome.status == "fail" and math.isnan(outcome.measured)
+        assert math.isnan(outcome.context["bound_slack_rel"])
 
 
 class TestPullThrough:
