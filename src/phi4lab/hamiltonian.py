@@ -1,21 +1,21 @@
 """Field operator, quartic interaction, and total Hamiltonian.
 
-The interaction HI = sum_j c_j phi(x_j)^4, c_j = u_j chi(x_j), is never
-assembled.  The truncated field is translation covariant, phi(x) = D_x phi(0)
-D_x^+ with the diagonal phase D_x = exp(-i p_n . x), so HI v = sum_j c_j D_j
-phi(0)^4 D_j^+ v is four batched applications of the field at the origin to
-the columns D_j^+ v, one per node where c_j is nonzero (``ham.field_powers``).
-The smearing at the origin is real, so each application is one float64 sparse
-product on the real and imaginary parts of the columns.  Each power is exactly
-Hermitian, since the truncated Segal field is self-adjoint.  No normal-ordered
-expansion is attempted.
+On the full space the interaction HI = sum_j c_j phi(x_j)^4, c_j = u_j
+chi(x_j), is never assembled.  The truncated field is translation covariant,
+phi(x) = D_x phi(0) D_x^+ with the diagonal phase D_x = exp(-i p_n . x), so
+HI v = sum_j c_j D_j phi(0)^4 D_j^+ v is four batched applications of the
+field at the origin to the columns D_j^+ v, one per node where c_j is nonzero
+(``ham.field_powers``).  The smearing at the origin is real, so each
+application is one float64 sparse product on the real and imaginary parts of
+the columns.  Each power is exactly Hermitian, since the truncated Segal field
+is self-adjoint.  No normal-ordered expansion is attempted.
 
 Parity sectors.  The field changes the boson number by one, so H(kappa)
 commutes with (-1)^N: the ground state is even, a_i psi and the phi^3 source
 odd.  Each grade is one graded-lex range, so a sector (``ham.even``,
-``ham.odd``) is a union of ranges.  Its handles cost half a full matvec, each
-field power one float64 product of ``origin_block``, phi(0) from the even to
-the odd states, or of its transpose (the origin smearing is real).
+``ham.odd``) is a union of ranges.  phi(0) joins them as ``origin_block`` B,
+from the even to the odd states, and its transpose (the origin smearing is
+real).
 
 Real arithmetic.  D_{-x} = conj(D_x) and phi(0) is real, so on a real vector
 phi(-x)^p v = conj(phi(x)^p v).  When every active node's negative is an
@@ -25,6 +25,14 @@ power) reads a float64 vector as real on every handle: one column per mirror
 pair, 2 Re(c_j D_j phi(0)^p D_j^+ v), and one per node at the origin, about
 half the columns of the per-node path that a complex vector keeps.  The
 sectors' handles are then ``real``, and the solvers keep float64 vectors.
+
+Assembled sectors.  On such a model each sector's HI is one real CSR matrix,
+(B^T B)^2 or (B B^T)^2 with each entry weighted by the node sum of its
+momentum transfer (``_sector_interactions``), built once when both fit the
+cost of one matrix-free sector product.  Lanczos, CG and the checks'
+products of one parity (``ham.hi_rows``) are then one sparse product each.
+Complex products on the full space, such as HI of the vacuum, stay
+matrix-free, and a model without the symmetry keeps the per-node path.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ import scipy.sparse
 from .errors import ConfigError
 from .fock import FockBasis, OperatorHandle, apply_smeared
 from .grid import ModeGrid, SpatialQuadrature
+
+SECTOR_BLOCKS = 2  # a sector interaction's row blocks take 1/SECTOR_BLOCKS of its budget
 
 
 def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.ndarray:
@@ -89,32 +99,121 @@ def apply_interaction(
     return HamiltonianSet(basis, grid, quad).hi(v)
 
 
+def _node_sum(phases: np.ndarray, coef: np.ndarray, steps, fold, real: bool):
+    """The node sum of a phase table, node weights ``coef`` and field ``steps`` (see
+    ``_field_powers``): ``node_sum(v, power, weights=None)``.  ``fold()`` gives the
+    ``MirrorFold`` or None, asked for at the first float64 vector; ``real`` keeps the
+    fold's phase columns, which the solvers reuse."""
+    folded = functools.cache(lambda: phases.take(fold().index, axis=1))
+
+    def node_sum(v, power, weights=None):
+        """sum_j c_j w_j phi(x_j)^power v for node ``weights`` w (all 1 if None): real,
+        through the fold, for a float64 ``v`` of a mirror-symmetric model, else per node."""
+        mirror = None if np.iscomplexobj(v) else fold()
+        if mirror is None:
+            columns = _field_powers(phases, steps, v, power)
+            return columns @ coef if weights is None else (columns * coef) @ weights
+        # the fold's phase columns: kept where solvers reuse them, taken per call on the full space
+        table = folded() if real else phases.take(mirror.index, axis=1)
+        folded_coef = mirror.coef if weights is None else mirror.coef * weights[mirror.index]
+        return (_field_powers(table, steps, v, power) @ folded_coef).real
+
+    return node_sum
+
+
+def _real_product(matrix: scipy.sparse.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` for a real ``matrix`` and a vector or block of columns ``x``; a
+    complex ``x`` is one float64 product on its view, real and imaginary parts side by side."""
+    if not np.iscomplexobj(x):
+        return matrix @ x
+    columns = np.ascontiguousarray(x if x.ndim == 2 else x[:, None])
+    out = (matrix @ columns.view(np.float64)).view(complex)
+    return out if x.ndim == 2 else out[:, 0]
+
+
+def _leading_columns(matrix: scipy.sparse.csr_matrix, count: int) -> scipy.sparse.csc_matrix:
+    """The first ``count`` columns of an exactly symmetric CSR ``matrix``: its first rows,
+    transposed, a view that shares its arrays."""
+    end = matrix.indptr[count]
+    rows = (matrix.data[:end], matrix.indices[:end], matrix.indptr[: count + 1])
+    return scipy.sparse.csr_matrix(rows, shape=(count, matrix.shape[1])).T
+
+
+def _row_blocks(p: scipy.sparse.csr_matrix, chunk: int) -> np.ndarray:
+    """Row edges of blocks of ``p`` whose rows of ``p @ p`` take at most ``chunk``
+    multiply-adds, an upper bound of their entries, beyond the block's first row."""
+    work = np.concatenate(([0], np.cumsum(np.diff(p.indptr)[p.indices])))[p.indptr]  # before each row
+    ends = np.searchsorted(work, np.arange(chunk, work[-1], chunk), side="right") - 1
+    return np.unique(np.r_[0, ends, len(work) - 1])
+
+
+def _sector_interactions(ham: HamiltonianSet):
+    """HI on the even and on the odd states as real CSR matrices, or None unless each
+    stores at most as many entries as one matrix-free sector product makes complex
+    multiply-adds, 4 c nnz(B) for the fold's c columns and B = ``origin_block``.
+
+    phi(0)^4 on a sector is (B^T B)^2 (even) or (B B^T)^2 (odd), and D_j phi(0)^4 D_j^+
+    scales its entry (m, n) by exp(-i (delta . k) . x_j), delta = n_m - n_n the entry's
+    occupation change.  So HI weights the entry by W(delta) = sum_j c_j cos((delta . k) . x_j),
+    real on a mirror-symmetric model (``_weighted_square``).
+    """
+    block = ham.origin_block
+    budget = 4 * len(ham.fold.index) * block.nnz
+    if 9**ham.basis.num_modes > 2**64:  # the keys of delta (see ``_weighted_square``) overflow
+        return None
+    transpose = block.T.tocsr()
+    even = _weighted_square(ham, transpose @ block, 0, budget)
+    odd = None if even is None else _weighted_square(ham, block @ transpose, 1, budget)
+    return None if odd is None else (even, odd)
+
+
+def _weighted_square(ham: HamiltonianSet, p: scipy.sparse.csr_matrix, parity: int, budget: int):
+    """``p @ p`` on the states of ``parity``, each entry weighted by W(delta), or None
+    once it counts more than ``budget`` entries.
+
+    An entry's key is delta in balanced base 9 (each |delta_i| <= 4): the difference of
+    the states' codes sum_i n_i 9^i, exact in wrapping int64 arithmetic while
+    |key| <= (9^modes - 1) / 2 fits, up to 20 modes.  The
+    entries are counted, then weighted, in row blocks of at most 1 / ``SECTOR_BLOCKS`` of
+    the budget, so the count never holds much more than the budget.
+    """
+    modes = ham.basis.num_modes
+    p.sort_indices()  # then p @ p sums each entry in the order of its transpose's
+    edges = _row_blocks(p, max(1, budget // SECTOR_BLOCKS))
+    blocks = list(zip(edges[:-1], edges[1:]))
+    stored = 0
+    for start, end in blocks:
+        stored += (p[start:end] @ p).nnz
+        if stored > budget:
+            return None
+    q = p @ p
+    code = ham.basis.states[ham.basis.grades % 2 == parity].astype(np.int64) @ 9 ** np.arange(modes)
+    for start, end in blocks:
+        ptr = q.indptr[start : end + 1]
+        entries = slice(ptr[0], ptr[-1])
+        # W(delta) = W(-delta): one key per pair keeps the matrix exactly symmetric
+        keys = np.abs(np.repeat(code[start:end], np.diff(ptr)) - code[q.indices[entries]])
+        ordered = np.sort(keys)  # np.unique, several times slower, hashes
+        distinct = ordered[np.diff(ordered, prepend=ordered[:1] - 1) != 0]
+        delta = np.empty((len(distinct), modes), dtype=np.int64)
+        rest = distinct
+        for i in range(modes):  # the balanced base-9 digits of each key
+            delta[:, i] = (rest + 4) % 9 - 4
+            rest = (rest - delta[:, i]) // 9
+        weight = np.cos((delta @ ham.grid.modes) @ ham.nodes.T) @ ham.coef
+        q.data[entries] *= weight[np.searchsorted(distinct, keys)]
+    return q
+
+
 class _Couplings:
-    """``h0``, ``hi``, ``hkappa`` from the free diagonal, phase table, node weights and
-    field ``steps`` (see ``_field_powers``); the handles close over these, not the set.
-    ``fold()`` gives the ``MirrorFold`` or None, asked for at the first float64 vector;
-    ``real`` (set by the sectors of a mirror-symmetric model) tells the solvers so."""
+    """``h0``, ``hi``, ``hkappa`` from the free diagonal ``esum`` and the interaction
+    product ``hi(v)``; the handles close over these, not the object.  ``real`` (set by
+    the sectors of a mirror-symmetric model) tells the solvers that H is real symmetric."""
 
-    def __init__(self, esum: np.ndarray, phases: np.ndarray, coef: np.ndarray, steps, fold, real=False):
-        self.esum, self.phases, self.coef = esum, phases, coef
-        self.real = real
-        folded = functools.cache(lambda: phases.take(fold().index, axis=1))
-
-        def node_sum(v, power, weights=None):
-            """sum_j c_j w_j phi(x_j)^power v for node ``weights`` w (all 1 if None): real,
-            through the fold, for a float64 ``v`` of a mirror-symmetric model, else per node."""
-            mirror = None if np.iscomplexobj(v) else fold()
-            if mirror is None:
-                columns = _field_powers(phases, steps, v, power)
-                return columns @ coef if weights is None else (columns * coef) @ weights
-            # the fold's phase columns: kept where solvers reuse them, taken per call on the full space
-            table = folded() if real else phases.take(mirror.index, axis=1)
-            folded_coef = mirror.coef if weights is None else mirror.coef * weights[mirror.index]
-            return (_field_powers(table, steps, v, power) @ folded_coef).real
-
-        self._node_sum = node_sum
+    def __init__(self, esum: np.ndarray, hi, real=False):
+        self.esum, self.real = esum, real
         self.h0 = OperatorHandle(apply=lambda v: esum[: v.shape[-1]] * v, dim=len(esum), real=real)
-        self.hi = OperatorHandle(apply=lambda v: node_sum(v, 4), dim=len(esum), real=real)
+        self.hi = OperatorHandle(apply=hi, dim=len(esum), real=real)
 
     def hkappa(self, kappa: float) -> OperatorHandle:
         if kappa < 0:
@@ -143,8 +242,9 @@ class HamiltonianSet(_Couplings):
     origin per power of the field; the handles, ``field_powers`` and
     ``node_sum`` take basis prefixes.  A set is freed as soon as it is
     unreferenced.  The nodes' ``fold`` (``mirror_fold``, None on a model
-    without the mirror symmetry), the parity sectors ``even`` and ``odd`` and
-    their ``origin_block`` are built on first use.
+    without the mirror symmetry) and the parity sectors ``even`` and ``odd``
+    are built on first use, the sectors' HI matrices with them; the
+    ``origin_block`` is built per call.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
@@ -160,15 +260,16 @@ class HamiltonianSet(_Couplings):
         def segal(w):  # phi(0) on the columns
             return apply_smeared(basis, grid, origin, w.T, "segal").T
 
-        self._steps = (segal, segal)
+        self.phases, self.coef, self._steps = phases, coef, (segal, segal)
         self._fold = functools.cache(lambda nodes=self.nodes: mirror_fold(nodes, coef))
-        super().__init__(basis.states @ grid.omega, phases, coef, self._steps, self._fold)
+        self._node_sum = node_sum = _node_sum(phases, coef, self._steps, self._fold, False)
+        super().__init__(basis.states @ grid.omega, functools.partial(node_sum, power=4))
 
     def field_powers(self, v: np.ndarray, power: int) -> np.ndarray:
         """Columns phi(x_j)^power v_j, ``v`` one vector or one column per node."""
         return _field_powers(self.phases, self._steps, v, power)
 
-    @functools.cached_property
+    @property
     def origin_block(self) -> scipy.sparse.csr_matrix:
         """phi(0) from the even (columns) to the odd states (rows), in O(nnz): each
         ladder entry joins an even and an odd state, valued as in ``apply_smeared``."""
@@ -181,8 +282,31 @@ class HamiltonianSet(_Couplings):
         rows, cols = local[np.where(src_odd, t.src, t.dst)], local[np.where(src_odd, t.dst, t.src)]
         return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(odd.sum(), (~odd).sum()))
 
+    def hi_rows(self, rows: np.ndarray) -> np.ndarray:
+        """HI v for a vector v or for each row v of a block, basis prefixes of one length,
+        each as long as ``hi`` returns it.  When the sectors are assembled, each parity
+        part is one product of its sector's ``matrix`` (a part that is zero is skipped);
+        else each row is ``hi``'s."""
+        if self._interactions is None:
+            return self.hi(rows) if rows.ndim == 1 else np.stack([self.hi(v) for v in rows])
+        length = rows.shape[-1]
+        reach = self.basis.grade_end(self.basis.grades[length - 1] + 4)  # HI moves 4 grades at most
+        out = np.zeros(rows.shape[:-1] + (reach,), dtype=rows.dtype)
+        for sector in (self.even, self.odd):
+            reached = np.searchsorted(sector.index, length)  # the sector's first states
+            part = rows[..., sector.index[:reached]]
+            if part.any():
+                head = sector.matrix if reached == sector.dim else _leading_columns(sector.matrix, reached)
+                image = sector.index[: np.searchsorted(sector.index, reach)]
+                out[..., image] = _real_product(head, part.T)[: len(image)].T
+        return out
+
     fold = property(lambda self: self._fold())
-    node_sum = property(lambda self: self._node_sum)  # node_sum(v, power, weights=None), see _Couplings
+    node_sum = property(lambda self: self._node_sum)  # node_sum(v, power, weights=None), see _node_sum
+    # the sectors' HI matrices, or None: on a mirror-symmetric model, when both fit the budget
+    _interactions = functools.cached_property(
+        lambda self: None if self.fold is None else _sector_interactions(self)
+    )
     even = functools.cached_property(lambda self: ParitySector(self, 0))
     odd = functools.cached_property(lambda self: ParitySector(self, 1))
 
@@ -190,26 +314,35 @@ class HamiltonianSet(_Couplings):
 class ParitySector(_Couplings):
     """H0, HI and H(kappa) on the states of one boson-number parity (0 even, 1 odd).
 
-    ``index`` lists the sector's states, ``esum`` is its free diagonal and
-    ``phases`` its rows of the phase table.  The handles act on vectors of
-    length ``dim`` and refuse any other length with a ``ConfigError``, each
-    field power one float64 product of ``origin_block`` or its transpose;
-    ``embed`` returns to the full basis.  On a model with a ``fold`` the
-    sector is ``real`` and its handles say so: they read a float64 vector as
-    real, through the fold.  A sector has no ``field_powers``: an odd power
-    leaves it.
+    ``index`` lists the sector's states and ``esum`` is its free diagonal.  On
+    a model with a ``fold`` the sector is ``real``, and HI is assembled once as
+    the real CSR ``matrix`` when both sectors fit their budget
+    (``_sector_interactions``): every HI product is then one sparse product,
+    a complex vector's through its float64 view.  Otherwise ``matrix`` is None
+    and the sector keeps ``phases``, its rows of the phase table, and applies
+    each field power as one float64 product of ``origin_block`` or its
+    transpose, through the fold for a float64 vector.  The handles act on vectors of length ``dim`` and
+    refuse any other length with a ``ConfigError``; ``embed`` returns to the
+    full basis.  A sector has no ``field_powers``: an odd power leaves it.
     """
 
     def __init__(self, ham: HamiltonianSet, parity: int):
         self.full_dim = ham.basis.dim
         self.index = np.flatnonzero(ham.basis.grades % 2 == parity)
         self.dim = len(self.index)
-        block = ham.origin_block
-        ops = (block, block.T) if parity == 0 else (block.T, block)
-        steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
-        real = ham.fold is not None
-        super().__init__(ham.esum[self.index], ham.phases[self.index], ham.coef, steps, ham._fold, real)
-        # unlike the full space's, the block products take no prefix; hkappa applies these
+        real, matrices = ham.fold is not None, ham._interactions
+        self.matrix = matrix = None if matrices is None else matrices[parity]
+        if matrix is not None:
+            hi = functools.partial(_real_product, matrix)
+        else:
+            block = ham.origin_block
+            ops = (block, block.T) if parity == 0 else (block.T, block)
+            steps = tuple(lambda w, op=op: (op @ w.view(np.float64)).view(complex) for op in ops)
+            self.phases = ham.phases[self.index]
+            node_sum = _node_sum(self.phases, ham.coef, steps, ham._fold, real)
+            hi = functools.partial(node_sum, power=4)
+        super().__init__(ham.esum[self.index], hi, real)
+        # unlike the full space's, the sector products take no prefix; hkappa applies these
         name, dim = ("even", "odd")[parity], self.dim
 
         def checked(apply, v):

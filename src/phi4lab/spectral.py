@@ -17,6 +17,7 @@ runs in the dtype of its right-hand side.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,10 +71,10 @@ def ground_state(
     """Lowest eigenpair of a Hermitian handle by thick-restart Lanczos.
 
     Converges when the explicit residual ||H v - e v|| drops below ``tol``,
-    checked once per block; raises NoConvergence once ``max_iter`` matvecs
-    are spent, when a block breaks down on an invariant subspace (all of it
-    when dim <= BLOCK_STEPS) whose lowest Ritz pair still misses ``tol``, or
-    when the residual stops falling at the roundoff floor, eps times the
+    checked once per block; raises NoConvergence at the first residual that is
+    not finite, once ``max_iter`` matvecs are spent, when a block breaks down
+    on an invariant subspace (all of it when dim <= BLOCK_STEPS) whose lowest
+    Ritz pair still misses ``tol``, or when the residual stops falling at the roundoff floor, eps times the
     largest Ritz value, above ``tol`` (see ``FLOOR_MARGIN``).
     The returned vector is unit norm with its vacuum (index 0) coefficient
     rotated to the nonnegative real axis, so overlaps with the vacuum are
@@ -125,6 +126,8 @@ def ground_state(
         residual = float(np.linalg.norm(hx - e0 * x))
         if residual <= tol:
             break
+        if not math.isfinite(residual):
+            raise NoConvergence(f"ground state residual is {residual} after {matvecs} matvecs: H v is not finite")
         floor = np.finfo(float).eps * float(np.abs(theta).max())
         stalled = stalled + 1 if best / 2 <= residual <= FLOOR_MARGIN * floor else 0
         best = min(best, residual)
@@ -182,8 +185,9 @@ def solve_shifted(
     and ``precond``, the diagonal of the preconditioner M ~ H + shift,
     positive in every entry.  Convergence is ||(H + shift) x - rhs|| <= tol *
     ||rhs||, on the unpreconditioned recursive residual, within max(1000,
-    20 dim) iterations.  Runs in the dtype of ``rhs``: float64 on a real one,
-    for a ``real`` handle.  Returns (x, iterations, final relative residual).
+    20 dim) iterations; a residual that is not finite raises NoConvergence at
+    once.  Runs in the dtype of ``rhs``: float64 on a real one, for a ``real``
+    handle.  Returns (x, iterations, final relative residual).
     """
     floor = emin + shift
     if floor <= 1e-14 * max(1.0, abs(emin)):
@@ -209,6 +213,8 @@ def solve_shifted(
         r_norm = float(np.linalg.norm(r))
         if r_norm <= tol * rhs_norm:
             return x, it, r_norm / rhs_norm
+        if not math.isfinite(r_norm):
+            raise NoConvergence(f"shifted solve residual is {r_norm} after {it} iterations: H v is not finite")
         z = r / precond
         rz_new = np.vdot(r, z)
         p = z + (rz_new / rz) * p

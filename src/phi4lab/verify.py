@@ -326,28 +326,29 @@ def check_hbound(
       (1 - c_bos e k) ||H0 v||^2 + k^2 ||HI v||^2
           <= ||H(k) v||^2 + (4 d_bos + c_bos / 4e) k ||v||^2
     and the divided form with the family's lambda, mu coefficients (which do
-    not depend on the family's e0).
+    not depend on the family's e0).  HI takes each drawn block at once
+    (``ham.hi_rows``: one product per parity where the sectors are assembled).
     """
     epsilon, kappa = fam.epsilon, fam.kappa
     c_bos, d_bos = hbound_constants(ham.grid, ham.quadrature)
-    vectors = (v for block in _interior_blocks(ham.basis, INEQUALITY_REACH, count, seed) for v in block)
     slacks, measures = [], []
-    for v in vectors:
-        h0v, hiv = ham.h0(v), ham.hi(v)
-        hkv = kappa * hiv  # H0 v adds to the leading part, as in ``ham.hkappa``
-        hkv[: len(v)] += h0v
-        n_h0 = float(np.linalg.norm(h0v)) ** 2
-        n_hik = kappa**2 * float(np.linalg.norm(hiv)) ** 2
-        n_hk = float(np.linalg.norm(hkv)) ** 2
-        n_v = float(np.linalg.norm(v)) ** 2
-        lhs1 = (1.0 - c_bos * epsilon * kappa) * n_h0 + n_hik
-        rhs1 = n_hk + (4.0 * d_bos + c_bos / (4.0 * epsilon)) * kappa * n_v
-        lhs2 = n_h0 + n_hik
-        rhs2 = fam.lam * n_hk + fam.mu * n_v
-        for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2)):
-            slack = rhs - lhs
-            slacks.append(slack)
-            measures.append(_rel(-slack, abs(rhs)))
+    for block in _interior_blocks(ham.basis, INEQUALITY_REACH, count, seed):
+        for v, hiv in zip(block, ham.hi_rows(block)):
+            h0v = ham.h0(v)
+            hkv = kappa * hiv  # H0 v adds to the leading part, as in ``ham.hkappa``
+            hkv[: len(v)] += h0v
+            n_h0 = float(np.linalg.norm(h0v)) ** 2
+            n_hik = kappa**2 * float(np.linalg.norm(hiv)) ** 2
+            n_hk = float(np.linalg.norm(hkv)) ** 2
+            n_v = float(np.linalg.norm(v)) ** 2
+            lhs1 = (1.0 - c_bos * epsilon * kappa) * n_h0 + n_hik
+            rhs1 = n_hk + (4.0 * d_bos + c_bos / (4.0 * epsilon)) * kappa * n_v
+            lhs2 = n_h0 + n_hik
+            rhs2 = fam.lam * n_hk + fam.mu * n_v
+            for lhs, rhs in ((lhs1, rhs1), (lhs2, rhs2)):
+                slack = rhs - lhs
+                slacks.append(slack)
+                measures.append(_rel(-slack, abs(rhs)))
     min_slack = float(np.min(slacks, initial=math.inf))
     context = {"count": count, "reach": INEQUALITY_REACH, "min_slack": min_slack, "epsilon": epsilon, "kappa": kappa}
     return _judged("h-bound", measures, INEQUALITY_TOL, context)
@@ -495,7 +496,9 @@ def check_pull_through(
     sector ``ham.odd``, where the source of an even psi lies, preconditioned
     by its free diagonal plus omega_i.  The source is ``ham.node_sum``, real by
     construction for a real psi on a mirror-symmetric model, so the solve and
-    every ``H`` product of the check then run in float64.  A residual above ``tol``
+    every ``H`` product of the check then run in float64; each ``HI`` product
+    of the check is ``ham.hi_rows``, one sector product where the sectors are
+    assembled.  A residual above ``tol``
     passes with a caveat only when the solver part is within ``tol`` and the
     defect is confined to the top grades (interior part at roundoff);
     otherwise the check fails.
@@ -512,9 +515,9 @@ def check_pull_through(
             resid = _rel(np.linalg.norm(lhs), np.linalg.norm(v))
             outcomes.append(_judged(f"pull-through[mode {i}]", [resid], tol, {"mode": i, "kappa": 0.0}))
         return outcomes
-    hk, odd = ham.hkappa(kappa), ham.odd
+    odd = ham.odd
     hk_odd = odd.hkappa(kappa)
-    hi_v = ham.hi(v)
+    hi_v = ham.hi_rows(v)
     interior = basis.grade_end(basis.n_max - TOP_GRADE_REACH)
     for i in range(basis.num_modes):
         sqw = math.sqrt(grid.weights[i])
@@ -529,9 +532,10 @@ def check_pull_through(
         )
         resid_vec = lhs + 2.0 * math.sqrt(2.0) * kappa * grid.rho[i] * odd.embed(y)
         rel = _rel(np.linalg.norm(resid_vec), lhs_norm)
-        commutator = apply_mode_annihilation(basis, i, hi_v) / sqw - ham.hi(lhs)
+        commutator = apply_mode_annihilation(basis, i, hi_v) / sqw - ham.hi_rows(lhs)
         defect = commutator - 2.0 * math.sqrt(2.0) * grid.rho[i] * rhs_src
-        certificate = hk(resid_vec) + shift * resid_vec + kappa * defect
+        hk_resid = kappa * ham.hi_rows(resid_vec) + ham.esum * resid_vec  # H(kappa) resid_vec
+        certificate = hk_resid + shift * resid_vec + kappa * defect
         scale = omega * lhs_norm
         unexplained = _rel(float(np.linalg.norm(certificate)), scale)
         interior_defect = _rel(
@@ -597,7 +601,7 @@ def check_arai_identities(
     if abs(overlap) < 1e-14:
         raise SpectralConditionViolated("vacuum overlap vanishes; normalization undefined")
     tilde = v / overlap
-    hi_tilde = ham.hi(tilde)
+    hi_tilde = ham.hi_rows(tilde)
     resid_energy = abs(state.e0 - kappa * complex(hi_tilde[0]))
     corr = apply_h0perp_inverse(ham.esum, hi_tilde, shift=state.e0)
     resid_vector = float(np.linalg.norm(tilde - basis.vacuum() + kappa * corr))

@@ -19,6 +19,7 @@ from phi4lab import (
     ConfigError,
     CutoffSpec,
     build_grid,
+    compute_constants,
     build_spatial_quadrature,
     enumerate_basis,
     ground_state,
@@ -68,7 +69,9 @@ def test_sectors_split_the_basis_by_grade_parity(model):
     assert np.array_equal(np.sort(np.concatenate([even.index, odd.index])), np.arange(basis.dim))
     assert even.index[0] == 0  # the vacuum leads the even sector
     assert np.array_equal(even.esum, ham.esum[even.index])
-    assert np.array_equal(odd.phases, ham.phases[odd.index])
+    # an assembled sector keeps its HI matrix, not the phase rows it no longer reads
+    for sector in (even, odd):
+        assert sector.matrix.shape == (sector.dim, sector.dim) and not hasattr(sector, "phases")
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3])
@@ -128,6 +131,8 @@ def test_full_handle_is_the_two_sectors_composed(model):
 
 
 def test_sector_matvecs_are_float64_block_products(monkeypatch):
+    # each sector matvec is one float64 product of the sector's assembled HI matrix,
+    # on a float64 vector or on the float64 view of a complex one
     grid, quad, basis = make_reference()
     ham = HamiltonianSet(basis, grid, quad)
     sectors = (ham.even, ham.odd)
@@ -135,11 +140,15 @@ def test_sector_matvecs_are_float64_block_products(monkeypatch):
     monkeypatch.setattr(hamiltonian, "apply_smeared", lambda *a: calls.append(a))
     for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
         monkeypatch.setattr(
-            cls, "__matmul__", lambda op, x, _m=cls.__matmul__: products.append(op.dtype) or _m(op, x)
+            cls, "__matmul__", lambda op, x, _m=cls.__matmul__: products.append((op, x.dtype)) or _m(op, x)
         )
     for sector in sectors:
-        sector.hkappa(0.05)(rand_vec(sector.dim, seed=7))
-    assert calls == [] and products == [np.float64] * 8
+        for v in (rand_vec(sector.dim, seed=7), rand_vec(sector.dim, seed=7).real):
+            products.clear()
+            sector.hkappa(0.05)(v)
+            assert len(products) == 1 and products[0][0] is sector.matrix
+            assert sector.matrix.dtype == products[0][1] == np.float64
+    assert calls == []
 
 
 def test_sector_handles_refuse_vectors_of_another_length():
@@ -279,25 +288,35 @@ def test_one_ulp_off_a_mirror_weight_fails_the_mirror_test(model):
 
 
 def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
-    # one column per mirror pair and per node at the origin, each two float64 columns,
-    # in the sectors and on the full space
+    # in a sector, one product of its matrix: a float64 vector as it is, a complex one as
+    # two float64 columns; on the full space, a float64 vector takes one column per mirror
+    # pair and per node at the origin, each two float64 columns, a complex one one per node
     _, _, _, ham, _ = model
-    widths = []
+    shapes = []
     for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
         monkeypatch.setattr(
-            cls, "__matmul__", lambda op, x, _m=cls.__matmul__: widths.append(x.shape[1]) or _m(op, x)
+            cls, "__matmul__", lambda op, x, _m=cls.__matmul__: shapes.append(x.shape) or _m(op, x)
         )
     rng = np.random.default_rng(4)
+    dim = ham.basis.dim
     for space in (ham.even, ham.odd, ham):
         v = rng.standard_normal(space.hi.dim)
-        for handle in (space.hi, space.hkappa(0.05)):
-            widths.clear()
+        full = v if space is ham else space.embed(v)
+        index = np.arange(dim) if space is ham else space.index
+        if space is ham:
+            real_shapes, complex_shapes = [(dim, 2 * len(ham.fold.index))] * 4, [(dim, 2 * len(ham.nodes))] * 4
+        else:
+            real_shapes, complex_shapes = [(space.dim,)], [(space.dim, 2)]
+        for handle, full_handle in ((space.hi, ham.hi), (space.hkappa(0.05), ham.hkappa(0.05))):
+            shapes.clear()
             real = handle(v)
-            assert real.dtype == np.float64 and widths == [2 * len(ham.fold.index)] * 4
-            widths.clear()
-            per_node = handle(v.astype(complex))
-            assert widths == [2 * len(ham.nodes)] * 4
-            assert np.abs(real - per_node).max() <= 1e-14 * np.abs(per_node).max()
+            assert real.dtype == np.float64 and shapes == real_shapes
+            shapes.clear()
+            cast = handle(v.astype(complex))
+            assert shapes == complex_shapes
+            per_node = full_handle(full.astype(complex))[index]  # the full space's complex path
+            for got in (real, cast):
+                assert np.abs(got - per_node).max() <= 1e-14 * np.abs(per_node).max()
 
 
 def test_the_folded_source_is_the_per_node_source(model):
@@ -322,15 +341,27 @@ def test_the_checks_of_a_real_ground_state_read_only_the_folded_phase_table(monk
     ham = HamiltonianSet(basis, grid, quad)
     state = ground_state(ham.even.hkappa(params.coupling), ham.even.dim, tol=params.eig_tol, seed=params.seed)
     state.vector = ham.even.embed(state.vector)
-    widths = []
+    widths, products = [], []
     monkeypatch.setattr(
         hamiltonian,
         "_field_powers",
         lambda phases, *rest, _f=hamiltonian._field_powers: widths.append(phases.shape[1]) or _f(phases, *rest),
     )
+    monkeypatch.setattr(
+        hamiltonian,
+        "_real_product",
+        lambda m, x, _f=hamiltonian._real_product: products.append((m, x.dtype)) or _f(m, x),
+    )
     _, outcomes = verify.check_state(state, params.coupling, ham, params)
     assert all(o.passed for o in outcomes)
-    assert len(widths) >= 4 and set(widths) == {len(ham.fold.index)} and len(ham.fold.index) < len(ham.nodes)
+    # the node sums left are the pull-through sources, one per mode, through the fold
+    assert widths == [len(ham.fold.index)] * basis.num_modes and len(ham.fold.index) < len(ham.nodes)
+    # every HI product is a float64 product of a sector's matrix: per mode the commutator's,
+    # the certificate's and one per CG iteration, plus HI psi and the eigenprojection's HI
+    matrices = (ham.even.matrix, ham.odd.matrix)
+    cg = sum(o.context.get("cg_iterations", 0) for o in outcomes)
+    assert cg > 0 and len(products) == 2 * basis.num_modes + cg + 2
+    assert all(any(m is s for s in matrices) and dtype == np.float64 for m, dtype in products)
 
 
 def test_the_suite_fails_on_a_dropped_imaginary_part():
@@ -375,3 +406,146 @@ def test_an_asymmetric_cutoff_keeps_the_complex_path():
     # bit for bit the numbers of the per-node path, recorded before the fold existed
     assert (state.e0, state.iterations) == (0.44610311297894256, 74)
     assert [o.measured for o in outcomes] == [0.08091520830334364, 0.07994884460036301, 0.08091520830334357]
+
+
+# ---------------------------------------------------------------------------
+# the assembled sectors: HI on each sector as one real CSR matrix, built once
+
+
+@pytest.mark.parametrize("n_max", [0, 1])
+@pytest.mark.parametrize("kappa", [0.0, 0.05, 0.3])
+def test_assembled_sectors_equal_the_dense_blocks_at_the_smallest_depths(n_max, kappa):
+    # depth 0 has an empty odd sector, depth 1 an even sector of the vacuum alone
+    grid, quad, basis = make_reference(n_max=n_max)
+    ham, dense = HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, n_max)
+    hk = dense.hk(kappa)
+    assert ham.even.matrix is not None and ham.odd.matrix is not None
+    assert ham.odd.dim == (0 if n_max == 0 else basis.num_modes)
+    for sector in (ham.even, ham.odd):
+        block = hk[np.ix_(sector.index, sector.index)]
+        for dtype in (complex, np.float64):
+            got = handle_matrix(sector.hkappa(kappa), dtype)
+            assert np.abs(got - block).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(block).max(initial=0.0))
+
+
+def test_the_sector_matrices_are_the_dense_interaction_blocks(model):
+    # real, exactly symmetric, and within the budget: no more entries than one
+    # matrix-free sector product makes complex multiply-adds
+    _, _, _, ham, dense = model
+    hi = dense.hi()
+    budget = 4 * len(ham.fold.index) * ham.origin_block.nnz
+    for sector in (ham.even, ham.odd):
+        matrix = sector.matrix
+        assert matrix.dtype == np.float64 and matrix.nnz <= budget
+        assert (matrix != matrix.T).nnz == 0
+        block = hi[np.ix_(sector.index, sector.index)]
+        assert np.abs(matrix.toarray() - block).max() <= 1e-14 * np.abs(block).max()
+
+
+def test_the_hbound_rows_by_parity_equal_the_per_vector_products():
+    # check_hbound's interior blocks: each parity part of five complex rows is one
+    # product, through the float64 view, of the first columns of its sector's matrix
+    grid, quad, basis = make_reference(n_max=12)
+    ham = HamiltonianSet(basis, grid, quad)
+    for block in verify._interior_blocks(basis, verify.INEQUALITY_REACH, 10, seed=3):
+        assert block.shape == (verify.BLOCK_ROWS, basis.grade_end(basis.n_max - verify.INEQUALITY_REACH))
+        got, want = ham.hi_rows(block), np.stack([ham.hi(v) for v in block])
+        reach = basis.grade_end(basis.n_max - verify.INEQUALITY_REACH + 4)  # the prefix HI reaches
+        assert got.dtype == complex and got.shape == want.shape == (len(block), reach)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # a float64 vector of one parity, of both, and a prefix of each
+    rng = np.random.default_rng(8)
+    for v in (ham.even.embed(rng.standard_normal(ham.even.dim)), ham.odd.embed(rng.standard_normal(ham.odd.dim))):
+        for u in (v, v + v[::-1], v[: basis.grade_end(7)]):
+            got, want = ham.hi_rows(u), ham.hi(u.astype(complex))
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_the_hbound_of_an_assembled_model_matches_the_per_vector_check(monkeypatch):
+    grid, quad, basis = make_reference(n_max=12)
+    fam = verify.optimize_epsilon(0.05, 0.58, grid, quad)
+    assembled = verify.check_hbound(fam, HamiltonianSet(basis, grid, quad), count=20, seed=3)
+    monkeypatch.setattr(hamiltonian, "_sector_interactions", lambda ham: None)
+    per_vector = verify.check_hbound(fam, HamiltonianSet(basis, grid, quad), count=20, seed=3)
+    assert assembled.status == per_vector.status == "pass"
+    slack = (assembled.context["min_slack"], per_vector.context["min_slack"])
+    assert slack[0] == pytest.approx(slack[1], rel=1e-13)
+    assert assembled.measured == pytest.approx(per_vector.measured, rel=1e-12)
+
+
+def test_a_wide_model_keeps_the_matrix_free_sectors():
+    # the 2-D model of verify_wide.ini: the sector matrices would store 6.0 (even) and
+    # 1.8 (odd) times the budget, so neither is assembled
+    params = parse_config(ROOT / "phi4bench" / "configs" / "verify_wide.ini")
+    grid, quad, basis = build_model(params)
+    ham = HamiltonianSet(basis, grid, quad)
+    assert ham.fold is not None and ham.even.real and ham.odd.real
+    assert ham._interactions is None and ham.even.matrix is None and ham.odd.matrix is None
+    assert np.array_equal(ham.odd.phases, ham.phases[ham.odd.index])
+    v = np.random.default_rng(2).standard_normal(ham.even.dim)
+    want = ham.hi(ham.even.embed(v).astype(complex))[ham.even.index]
+    assert np.abs(ham.even.hi(v) - want).max() <= 1e-14 * np.abs(want).max()
+    block = next(verify._interior_blocks(basis, 4, 5, seed=1))
+    assert np.array_equal(ham.hi_rows(block), np.stack([ham.hi(v) for v in block]))
+
+
+def test_both_sectors_are_assembled_or_neither():
+    # five modes at depth 8: the odd sector would fit its budget (0.66), the even one not (1.23)
+    grid = build_grid(1, 1.0, CutoffSpec("indicator", (-10.0, 10.0)), kmax=3.0, modes_per_axis=5)
+    quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), 9)
+    ham = HamiltonianSet(enumerate_basis(grid.num_modes, 8), grid, quad)
+    assert ham.fold is not None and ham._interactions is None
+    assert ham.even.matrix is None and ham.odd.matrix is None and ham.odd.real
+
+
+def test_an_asymmetric_model_assembles_no_sector():
+    grid, quad, basis = make_asymmetric()
+    ham = HamiltonianSet(basis, grid, quad)
+    assert ham.fold is None and ham._interactions is None
+    for sector in (ham.even, ham.odd):
+        assert sector.matrix is None and np.array_equal(sector.phases, ham.phases[sector.index])
+    block = next(verify._interior_blocks(basis, 4, 5, seed=1))
+    assert np.array_equal(ham.hi_rows(block), np.stack([ham.hi(v) for v in block]))
+
+
+def test_set_up_and_the_theory_constants_build_no_sector(monkeypatch):
+    # the benchmark's set-up applies HI to the complex vacuum, and the constants apply it
+    # to complex vectors: both stay on the full space's per-node path
+    built = []
+    monkeypatch.setattr(hamiltonian, "_sector_interactions", lambda ham: built.append(ham))
+    params = parse_config(ROOT / "phi4bench" / "configs" / "deep_solve.ini")
+    grid, quad, basis = build_model(dataclasses.replace(params, n_max=10))
+    ham = HamiltonianSet(basis, grid, quad)
+    ham.hi(basis.vacuum())
+    compute_constants(ham)
+    assert built == [] and not {"even", "odd", "_interactions"} & set(vars(ham))
+
+
+def test_the_deep_solve_model_is_assembled_within_its_budget():
+    params = parse_config(ROOT / "phi4bench" / "configs" / "deep_solve.ini")
+    grid, quad, basis = build_model(params)
+    ham = HamiltonianSet(basis, grid, quad)
+    budget = 4 * len(ham.fold.index) * ham.origin_block.nnz
+    even, odd = ham._interactions
+    assert (even.nnz, odd.nnz) == (53566, 45795) and max(even.nnz, odd.nnz) <= 0.6 * budget
+    assert even is ham.even.matrix and odd is ham.odd.matrix
+
+
+@pytest.mark.parametrize("modes", [20, 21])
+def test_the_keys_of_delta_fit_an_int64_up_to_20_modes(modes):
+    # at depth 1 and 41 nodes both sectors fit their budget; past 20 modes a balanced
+    # base-9 key of delta overflows an int64, so the sectors stay matrix-free
+    grid = build_grid(1, 1.0, CutoffSpec("indicator", (-100.0, 100.0)), kmax=10.0, modes_per_axis=modes)
+    quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), 41)
+    basis = enumerate_basis(modes, 1)
+    ham, dense = HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, 1)
+    block = ham.origin_block
+    budget = 4 * len(ham.fold.index) * block.nnz
+    assert hamiltonian._weighted_square(ham, block @ block.T.tocsr(), 1, budget) is not None
+    assert (ham._interactions is not None) == (modes == 20) and ham.odd.real
+    hk = dense.hk(0.05)
+    for sector in (ham.even, ham.odd):
+        block = hk[np.ix_(sector.index, sector.index)]
+        got = handle_matrix(sector.hkappa(0.05), np.float64)
+        assert np.abs(got - block).max() <= 1e-14 * np.abs(block).max()

@@ -7,9 +7,13 @@ import pytest
 from oracles import DenseModel, rayleigh_quotient
 
 from phi4lab import (
+    CutoffSpec,
     IndefiniteShift,
     NearDegenerateWarning,
     NoConvergence,
+    build_grid,
+    build_spatial_quadrature,
+    enumerate_basis,
     ground_state,
     solve_shifted,
 )
@@ -19,6 +23,16 @@ from phi4lab.hamiltonian import HamiltonianSet
 from phi4lab.spectral import BLOCK_STEPS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture(scope="module")
+def overflowing_model():
+    """Mode weights of 1e300 (``[grid] modes = -2 ; 0 ; 2``, ``weights = 1e300 1e300 1e300``)
+    at depth 6: valid inputs whose H v overflows to inf and NaN."""
+    uv = CutoffSpec("indicator", (-10.0, 10.0))
+    grid = build_grid(1, 1.0, uv, modes=np.array([[-2.0], [0.0], [2.0]]), weights=np.full(3, 1e300))
+    quad = build_spatial_quadrature(1, CutoffSpec("indicator", (-1.0, 1.0)), 9)
+    return HamiltonianSet(enumerate_basis(3, 6), grid, quad)
 
 
 def diag_handle(values):
@@ -96,6 +110,16 @@ class TestGroundState:
             ground_state(counted, even.dim, tol=params.eig_tol, max_iter=params.max_iter, seed=params.seed)
         assert len(matvecs) <= 1000
 
+    def test_stops_at_a_residual_that_is_not_finite(self, overflowing_model):
+        # a NaN residual fails every comparison of the stall test, so the run stops on it
+        # where it first appears, at the end of the first block
+        even, matvecs = overflowing_model.even, []
+        h = even.hkappa(0.05)
+        counted = OperatorHandle(lambda v: matvecs.append(1) or h(v), even.dim, real=h.real)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="residual is nan .* not finite"):
+            ground_state(counted, even.dim, tol=1e-10, max_iter=20_000, seed=7)
+        assert len(matvecs) <= BLOCK_STEPS + 1
+
     def test_gap_estimate(self):
         handle = diag_handle([0.0, 2.5, 7.0])
         res = ground_state(handle, 3, tol=1e-12, seed=4)
@@ -166,6 +190,14 @@ class TestSolveShifted:
             assert residual <= 1e-12
             assert np.linalg.norm(back - rhs) <= 1e-11 * np.linalg.norm(rhs)
         assert state.e0 > omega
+
+    def test_stops_at_a_residual_that_is_not_finite(self, overflowing_model):
+        odd, matvecs = overflowing_model.odd, []
+        h = odd.hkappa(0.05)
+        counted = OperatorHandle(lambda v: matvecs.append(1) or h(v), odd.dim, real=h.real)
+        with np.errstate(all="ignore"), pytest.raises(NoConvergence, match="residual is nan after 1 iterations"):
+            solve_shifted(counted, 1.0, np.ones(odd.dim), precond=odd.esum + 1.0, emin=0.0)
+        assert len(matvecs) == 1
 
     def test_indefinite_shift_rejected(self):
         handle = diag_handle([1.0, 2.0])
