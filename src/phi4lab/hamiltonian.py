@@ -48,7 +48,8 @@ from .errors import ConfigError
 from .fock import FockBasis, OperatorHandle, apply_smeared
 from .grid import ModeGrid, SpatialQuadrature
 
-SECTOR_BLOCKS = 2  # a sector interaction's row blocks take 1/SECTOR_BLOCKS of its budget
+SECTOR_BLOCKS = 2  # a sector interaction's entries are counted in row blocks of 1/SECTOR_BLOCKS of its budget
+KEY_BLOCKS = 8  # and weighted in row blocks of 1/KEY_BLOCKS of them: each takes about 4 int64 an entry
 
 
 def _field_powers(phases: np.ndarray, steps, v: np.ndarray, power: int) -> np.ndarray:
@@ -139,12 +140,27 @@ def _leading_columns(matrix: scipy.sparse.csr_matrix, count: int) -> scipy.spars
     return scipy.sparse.csr_matrix(rows, shape=(count, matrix.shape[1])).T
 
 
-def _row_blocks(p: scipy.sparse.csr_matrix, chunk: int) -> np.ndarray:
-    """Row edges of blocks of ``p`` whose rows of ``p @ p`` take at most ``chunk``
-    multiply-adds, an upper bound of their entries, beyond the block's first row."""
-    work = np.concatenate(([0], np.cumsum(np.diff(p.indptr)[p.indices])))[p.indptr]  # before each row
-    ends = np.searchsorted(work, np.arange(chunk, work[-1], chunk), side="right") - 1
-    return np.unique(np.r_[0, ends, len(work) - 1])
+def _row_edges(before: np.ndarray, chunk: int) -> np.ndarray:
+    """Edges of blocks of rows that each add at most ``chunk`` to a count beyond their
+    first row, from ``before``, the running count before each row and after the last."""
+    ends = np.searchsorted(before, np.arange(chunk, int(before[-1]), chunk), side="right") - 1
+    return np.r_[0, np.unique(ends[ends > 0]), len(before) - 1]
+
+
+def _product_within(a: scipy.sparse.csr_matrix, b: scipy.sparse.csr_matrix, budget: int):
+    """``a @ b``, or None if it stores more than ``budget`` entries.  Unless its
+    multiply-adds, an upper bound of its entries, fit the budget (nnz(a) times b's longest
+    row bounds them), the entries are first counted in blocks of rows of at most
+    1 / ``SECTOR_BLOCKS`` of the budget in multiply-adds, and the count stops once past the
+    budget: so a refused product holds no more than about that share beyond its inputs."""
+    longest = int(np.diff(b.indptr).max(initial=0))
+    if a.nnz * longest > budget:
+        edges, stored = _row_edges(a.indptr, max(1, budget // (SECTOR_BLOCKS * longest))), 0
+        for start, end in zip(edges[:-1], edges[1:]):
+            stored += (a[start:end] @ b).nnz
+            if stored > budget:
+                return None
+    return a @ b
 
 
 def _sector_interactions(ham: HamiltonianSet):
@@ -155,40 +171,39 @@ def _sector_interactions(ham: HamiltonianSet):
     phi(0)^4 on a sector is (B^T B)^2 (even) or (B B^T)^2 (odd), and D_j phi(0)^4 D_j^+
     scales its entry (m, n) by exp(-i (delta . k) . x_j), delta = n_m - n_n the entry's
     occupation change.  So HI weights the entry by W(delta) = sum_j c_j cos((delta . k) . x_j),
-    real on a mirror-symmetric model (``_weighted_square``).
+    real on a mirror-symmetric model, a sum over the fold's nodes (``_weighted_square``).
     """
     block = ham.origin_block
     budget = 4 * len(ham.fold.index) * block.nnz
     if 9**ham.basis.num_modes > 2**64:  # the keys of delta (see ``_weighted_square``) overflow
         return None
     transpose = block.T.tocsr()
-    even = _weighted_square(ham, transpose @ block, 0, budget)
-    odd = None if even is None else _weighted_square(ham, block @ transpose, 1, budget)
+    even = _weighted_square(ham, transpose, block, 0, budget)
+    odd = None if even is None else _weighted_square(ham, block, transpose, 1, budget)
     return None if odd is None else (even, odd)
 
 
-def _weighted_square(ham: HamiltonianSet, p: scipy.sparse.csr_matrix, parity: int, budget: int):
-    """``p @ p`` on the states of ``parity``, each entry weighted by W(delta), or None
-    once it counts more than ``budget`` entries.
+def _weighted_square(ham: HamiltonianSet, a, b, parity: int, budget: int):
+    """(a b)^2 on the states of ``parity``, each entry weighted by W(delta), or None once
+    p = a b or p @ p stores more than ``budget`` entries (``_product_within``).
 
     An entry's key is delta in balanced base 9 (each |delta_i| <= 4): the difference of
     the states' codes sum_i n_i 9^i, exact in wrapping int64 arithmetic while
-    |key| <= (9^modes - 1) / 2 fits, up to 20 modes.  The
-    entries are counted, then weighted, in row blocks of at most 1 / ``SECTOR_BLOCKS`` of
-    the budget, so the count never holds much more than the budget.
+    |key| <= (9^modes - 1) / 2 fits, up to 20 modes.  The keys are taken in blocks of
+    rows of at most 1 / ``KEY_BLOCKS`` of the entries.
     """
-    modes = ham.basis.num_modes
+    p = _product_within(a, b, budget)
+    if p is None:
+        return None
     p.sort_indices()  # then p @ p sums each entry in the order of its transpose's
-    edges = _row_blocks(p, max(1, budget // SECTOR_BLOCKS))
-    blocks = list(zip(edges[:-1], edges[1:]))
-    stored = 0
-    for start, end in blocks:
-        stored += (p[start:end] @ p).nnz
-        if stored > budget:
-            return None
-    q = p @ p
+    q = _product_within(p, p, budget)
+    if q is None:
+        return None
+    modes, fold = ham.basis.num_modes, ham.fold
+    transfer = ham.nodes[fold.index] @ ham.grid.modes.T  # k_i . x_j, a row per folded node
     code = ham.basis.states[ham.basis.grades % 2 == parity].astype(np.int64) @ 9 ** np.arange(modes)
-    for start, end in blocks:
+    edges = _row_edges(q.indptr, max(1, q.nnz // KEY_BLOCKS))
+    for start, end in zip(edges[:-1], edges[1:]):
         ptr = q.indptr[start : end + 1]
         entries = slice(ptr[0], ptr[-1])
         # W(delta) = W(-delta): one key per pair keeps the matrix exactly symmetric
@@ -200,7 +215,9 @@ def _weighted_square(ham: HamiltonianSet, p: scipy.sparse.csr_matrix, parity: in
         for i in range(modes):  # the balanced base-9 digits of each key
             delta[:, i] = (rest + 4) % 9 - 4
             rest = (rest - delta[:, i]) // 9
-        weight = np.cos((delta @ ham.grid.modes) @ ham.nodes.T) @ ham.coef
+        # elementwise, in one order, so that a key's weight does not depend on its block
+        phase = sum(np.multiply.outer(delta[:, i], transfer[:, i]) for i in range(modes))
+        weight = sum(c * np.cos(phase[:, f]) for f, c in enumerate(fold.coef))
         q.data[entries] *= weight[np.searchsorted(distinct, keys)]
     return q
 
@@ -244,7 +261,7 @@ class HamiltonianSet(_Couplings):
     unreferenced.  The nodes' ``fold`` (``mirror_fold``, None on a model
     without the mirror symmetry) and the parity sectors ``even`` and ``odd``
     are built on first use, the sectors' HI matrices with them; the
-    ``origin_block`` is built per call.
+    ``origin_block`` is kept until they are assembled.
     """
 
     def __init__(self, basis: FockBasis, grid: ModeGrid, quad: SpatialQuadrature):
@@ -269,7 +286,7 @@ class HamiltonianSet(_Couplings):
         """Columns phi(x_j)^power v_j, ``v`` one vector or one column per node."""
         return _field_powers(self.phases, self._steps, v, power)
 
-    @property
+    @functools.cached_property
     def origin_block(self) -> scipy.sparse.csr_matrix:
         """phi(0) from the even (columns) to the odd states (rows), in O(nnz): each
         ladder entry joins an even and an odd state, valued as in ``apply_smeared``."""
@@ -301,12 +318,24 @@ class HamiltonianSet(_Couplings):
                 out[..., image] = _real_product(head, part.T)[: len(image)].T
         return out
 
+    def hkappa_rows(self, kappa: float, rows: np.ndarray) -> np.ndarray:
+        """H(kappa) v for a vector v or each row of a block, HI as ``hi_rows`` takes it;
+        H0 v adds to the leading part, as in ``hkappa``."""
+        out = kappa * self.hi_rows(rows)
+        out[..., : rows.shape[-1]] += self.esum[: rows.shape[-1]] * rows
+        return out
+
     fold = property(lambda self: self._fold())
     node_sum = property(lambda self: self._node_sum)  # node_sum(v, power, weights=None), see _node_sum
-    # the sectors' HI matrices, or None: on a mirror-symmetric model, when both fit the budget
-    _interactions = functools.cached_property(
-        lambda self: None if self.fold is None else _sector_interactions(self)
-    )
+
+    @functools.cached_property
+    def _interactions(self):
+        """The sectors' HI matrices, or None: on a mirror-symmetric model, when both fit the budget."""
+        matrices = None if self.fold is None else _sector_interactions(self)
+        if matrices is not None:
+            del self.origin_block  # the assembled sectors no longer read it
+        return matrices
+
     even = functools.cached_property(lambda self: ParitySector(self, 0))
     odd = functools.cached_property(lambda self: ParitySector(self, 1))
 

@@ -497,10 +497,10 @@ def check_pull_through(
     by its free diagonal plus omega_i.  The source is ``ham.node_sum``, real by
     construction for a real psi on a mirror-symmetric model, so the solve and
     every ``H`` product of the check then run in float64; each ``HI`` product
-    of the check is ``ham.hi_rows``, one sector product where the sectors are
-    assembled.  A residual above ``tol``
-    passes with a caveat only when the solver part is within ``tol`` and the
-    defect is confined to the top grades (interior part at roundoff);
+    of the check is ``ham.hi_rows`` (``ham.hkappa_rows`` for the certificate),
+    one sector product where the sectors are assembled.  A residual above
+    ``tol`` passes with a caveat only when the solver part is within ``tol``
+    and the defect is confined to the top grades (interior part at roundoff);
     otherwise the check fails.
     """
     basis, grid, v = ham.basis, ham.grid, state.vector
@@ -534,8 +534,7 @@ def check_pull_through(
         rel = _rel(np.linalg.norm(resid_vec), lhs_norm)
         commutator = apply_mode_annihilation(basis, i, hi_v) / sqw - ham.hi_rows(lhs)
         defect = commutator - 2.0 * math.sqrt(2.0) * grid.rho[i] * rhs_src
-        hk_resid = kappa * ham.hi_rows(resid_vec) + ham.esum * resid_vec  # H(kappa) resid_vec
-        certificate = hk_resid + shift * resid_vec + kappa * defect
+        certificate = ham.hkappa_rows(kappa, resid_vec) + shift * resid_vec + kappa * defect
         scale = omega * lhs_norm
         unexplained = _rel(float(np.linalg.norm(certificate)), scale)
         interior_defect = _rel(

@@ -8,6 +8,7 @@ the pull-through resolvents in the odd block.
 """
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -57,21 +58,53 @@ def model(request):
     return grid, quad, basis, HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, basis.n_max)
 
 
+def build_sectors(name):
+    """A model of ``MODELS``, or the reference model at depth n (``depth-n``), with its set
+    and dense oracle.  Its sectors are assembled, or with ``-matrix-free`` built as those
+    of a model over the assembly budget."""
+    base = name.removesuffix("-matrix-free")
+    grid, quad, basis = make_reference(n_max=int(base[6:])) if base.startswith("depth-") else MODELS[base]()
+    ham = HamiltonianSet(basis, grid, quad)
+    with pytest.MonkeyPatch.context() as patch:
+        if name.endswith("-matrix-free"):
+            patch.setattr(hamiltonian, "_sector_interactions", lambda ham: None)
+        assert ham.even.real and ham.odd.real  # both sectors are built here
+    return grid, quad, basis, ham, DenseModel(grid, quad, basis.n_max)
+
+
+PATHS = ("", "-matrix-free")
+
+
+@pytest.fixture(scope="module", params=[m + p for p in PATHS for m in sorted(MODELS)])
+def paths(request):
+    return build_sectors(request.param)
+
+
+@pytest.fixture(scope="module", params=[m + p for p in PATHS for m in (*sorted(MODELS), "depth-0", "depth-1")])
+def sectors(request):
+    # depth 0 has an empty odd sector, depth 1 an even sector of the vacuum alone
+    return build_sectors(request.param)
+
+
 def rand_vec(dim, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def test_sectors_split_the_basis_by_grade_parity(model):
-    grid, quad, basis, ham, _ = model
+def test_sectors_split_the_basis_by_grade_parity(sectors):
+    grid, quad, basis, ham, _ = sectors
     even, odd = ham.even, ham.odd
     assert np.all(basis.grades[even.index] % 2 == 0) and np.all(basis.grades[odd.index] % 2 == 1)
     assert np.array_equal(np.sort(np.concatenate([even.index, odd.index])), np.arange(basis.dim))
     assert even.index[0] == 0  # the vacuum leads the even sector
     assert np.array_equal(even.esum, ham.esum[even.index])
-    # an assembled sector keeps its HI matrix, not the phase rows it no longer reads
+    # a matrix-free sector keeps its rows of the phase table; an assembled one its HI
+    # matrix, and not the phase rows it no longer reads
     for sector in (even, odd):
-        assert sector.matrix.shape == (sector.dim, sector.dim) and not hasattr(sector, "phases")
+        if sector.matrix is None:
+            assert np.array_equal(sector.phases, ham.phases[sector.index])
+        else:
+            assert sector.matrix.shape == (sector.dim, sector.dim) and not hasattr(sector, "phases")
 
 
 @pytest.mark.parametrize("kappa", [0.05, 0.3])
@@ -83,15 +116,16 @@ def test_dense_hamiltonian_has_no_parity_changing_block(model, kappa):
 
 
 @pytest.mark.parametrize("kappa", [0.0, 0.05, 0.3])
-def test_sector_handles_equal_the_dense_blocks(model, kappa):
-    # a float64 column takes the mirror fold, a complex one the per-node path
-    _, _, _, ham, dense = model
+def test_sector_handles_equal_the_dense_blocks(sectors, kappa):
+    # an assembled sector takes a complex column through its float64 view; a matrix-free
+    # one takes a float64 column through the mirror fold, a complex one per node
+    _, _, _, ham, dense = sectors
     hk = dense.hk(kappa)
     for sector in (ham.even, ham.odd):
         block = hk[np.ix_(sector.index, sector.index)]
         for dtype in (complex, np.float64):
             got = handle_matrix(sector.hkappa(kappa), dtype)
-            assert np.abs(got - block).max() <= 1e-14 * max(1.0, np.abs(block).max())
+            assert np.abs(got - block).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(block).max(initial=0.0))
 
 
 def test_origin_block_is_the_segal_field_at_the_origin(model):
@@ -119,8 +153,8 @@ def test_field_powers_are_the_dense_field_powers_at_every_node(model):
                 assert np.abs(got[:, j] - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
-def test_full_handle_is_the_two_sectors_composed(model):
-    _, _, basis, ham, _ = model
+def test_full_handle_is_the_two_sectors_composed(sectors):
+    _, _, basis, ham, _ = sectors
     v = rand_vec(basis.dim, seed=5)
     for kappa in (0.0, 0.05, 0.3):
         full = ham.hkappa(kappa)(v)
@@ -131,23 +165,29 @@ def test_full_handle_is_the_two_sectors_composed(model):
 
 
 def test_sector_matvecs_are_float64_block_products(monkeypatch):
-    # each sector matvec is one float64 product of the sector's assembled HI matrix,
-    # on a float64 vector or on the float64 view of a complex one
-    grid, quad, basis = make_reference()
-    ham = HamiltonianSet(basis, grid, quad)
-    sectors = (ham.even, ham.odd)
+    # an assembled sector's matvec is one float64 product of its HI matrix, on a float64
+    # vector or on the float64 view of a complex one; a matrix-free sector's is four
+    # float64 products of origin_block or its transpose
+    assembled, free = (build_sectors(name)[3] for name in ("reference", "reference-matrix-free"))
     calls, products = [], []
     monkeypatch.setattr(hamiltonian, "apply_smeared", lambda *a: calls.append(a))
     for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
         monkeypatch.setattr(
             cls, "__matmul__", lambda op, x, _m=cls.__matmul__: products.append((op, x.dtype)) or _m(op, x)
         )
-    for sector in sectors:
-        for v in (rand_vec(sector.dim, seed=7), rand_vec(sector.dim, seed=7).real):
-            products.clear()
-            sector.hkappa(0.05)(v)
-            assert len(products) == 1 and products[0][0] is sector.matrix
-            assert sector.matrix.dtype == products[0][1] == np.float64
+    block = free.origin_block
+    for ham in (assembled, free):
+        for sector in (ham.even, ham.odd):
+            for v in (rand_vec(sector.dim, seed=7), rand_vec(sector.dim, seed=7).real):
+                products.clear()
+                sector.hkappa(0.05)(v)
+                assert all(op.dtype == dtype == np.float64 for op, dtype in products)
+                if ham is assembled:
+                    assert len(products) == 1 and products[0][0] is sector.matrix
+                    continue
+                shapes = [block.shape, block.T.shape] if sector is ham.even else [block.T.shape, block.shape]
+                assert [op.shape for op, _ in products] == shapes * 2
+                assert all(np.shares_memory(op.data, block.data) for op, _ in products)
     assert calls == []
 
 
@@ -287,11 +327,12 @@ def test_one_ulp_off_a_mirror_weight_fails_the_mirror_test(model):
     assert off.fold is None and not off.even.real and not off.odd.hkappa(0.05).real
 
 
-def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
-    # in a sector, one product of its matrix: a float64 vector as it is, a complex one as
-    # two float64 columns; on the full space, a float64 vector takes one column per mirror
-    # pair and per node at the origin, each two float64 columns, a complex one one per node
-    _, _, _, ham, _ = model
+def test_real_sector_handles_agree_with_the_complex_path(paths, monkeypatch):
+    # in an assembled sector, one product of its matrix: a float64 vector as it is, a complex
+    # one as two float64 columns; in a matrix-free sector and on the full space, four field
+    # products, of a float64 vector on one column per mirror pair and per node at the origin,
+    # each two float64 columns, and of a complex one on one column per node
+    _, _, _, ham, _ = paths
     shapes = []
     for cls in (hamiltonian.scipy.sparse.csr_matrix, hamiltonian.scipy.sparse.csc_matrix):
         monkeypatch.setattr(
@@ -303,10 +344,12 @@ def test_real_sector_handles_agree_with_the_complex_path(model, monkeypatch):
         v = rng.standard_normal(space.hi.dim)
         full = v if space is ham else space.embed(v)
         index = np.arange(dim) if space is ham else space.index
-        if space is ham:
-            real_shapes, complex_shapes = [(dim, 2 * len(ham.fold.index))] * 4, [(dim, 2 * len(ham.nodes))] * 4
-        else:
+        if space is not ham and space.matrix is not None:
             real_shapes, complex_shapes = [(space.dim,)], [(space.dim, 2)]
+        else:
+            rows = [dim] * 4 if space is ham else [space.dim, dim - space.dim] * 2
+            real_shapes = [(r, 2 * len(ham.fold.index)) for r in rows]
+            complex_shapes = [(r, 2 * len(ham.nodes)) for r in rows]
         for handle, full_handle in ((space.hi, ham.hi), (space.hkappa(0.05), ham.hkappa(0.05))):
             shapes.clear()
             real = handle(v)
@@ -334,13 +377,10 @@ def test_the_folded_source_is_the_per_node_source(model):
 
 
 def test_the_checks_of_a_real_ground_state_read_only_the_folded_phase_table(monkeypatch):
-    # every node sum of check_state takes the fold: the sectors', the full space's and
-    # the pull-through sources
+    # every node sum of check_state takes the fold: the pull-through sources, and where the
+    # sectors are matrix-free the sectors' and the full space's
     params = parse_config(ROOT / "configs" / "reference.ini")
     grid, quad, basis = build_model(params)
-    ham = HamiltonianSet(basis, grid, quad)
-    state = ground_state(ham.even.hkappa(params.coupling), ham.even.dim, tol=params.eig_tol, seed=params.seed)
-    state.vector = ham.even.embed(state.vector)
     widths, products = [], []
     monkeypatch.setattr(
         hamiltonian,
@@ -352,16 +392,26 @@ def test_the_checks_of_a_real_ground_state_read_only_the_folded_phase_table(monk
         "_real_product",
         lambda m, x, _f=hamiltonian._real_product: products.append((m, x.dtype)) or _f(m, x),
     )
-    _, outcomes = verify.check_state(state, params.coupling, ham, params)
-    assert all(o.passed for o in outcomes)
-    # the node sums left are the pull-through sources, one per mode, through the fold
-    assert widths == [len(ham.fold.index)] * basis.num_modes and len(ham.fold.index) < len(ham.nodes)
-    # every HI product is a float64 product of a sector's matrix: per mode the commutator's,
-    # the certificate's and one per CG iteration, plus HI psi and the eigenprojection's HI
-    matrices = (ham.even.matrix, ham.odd.matrix)
-    cg = sum(o.context.get("cg_iterations", 0) for o in outcomes)
-    assert cg > 0 and len(products) == 2 * basis.num_modes + cg + 2
-    assert all(any(m is s for s in matrices) and dtype == np.float64 for m, dtype in products)
+    for free in (False, True):
+        ham = HamiltonianSet(basis, grid, quad)
+        if free:
+            monkeypatch.setattr(hamiltonian, "_sector_interactions", lambda ham: None)
+        state = ground_state(ham.even.hkappa(params.coupling), ham.even.dim, tol=params.eig_tol, seed=params.seed)
+        state.vector = ham.even.embed(state.vector)
+        widths.clear(), products.clear()
+        _, outcomes = verify.check_state(state, params.coupling, ham, params)
+        assert all(o.passed for o in outcomes) and len(ham.fold.index) < len(ham.nodes)
+        if free:
+            assert products == [] and len(widths) >= 4 and set(widths) == {len(ham.fold.index)}
+            continue
+        # the node sums left are the pull-through sources, one per mode, through the fold
+        assert widths == [len(ham.fold.index)] * basis.num_modes
+        # every HI product is a float64 product of a sector's matrix: per mode the commutator's,
+        # the certificate's and one per CG iteration, plus HI psi and the eigenprojection's HI
+        matrices = (ham.even.matrix, ham.odd.matrix)
+        cg = sum(o.context.get("cg_iterations", 0) for o in outcomes)
+        assert cg > 0 and len(products) == 2 * basis.num_modes + cg + 2
+        assert all(any(m is s for s in matrices) and dtype == np.float64 for m, dtype in products)
 
 
 def test_the_suite_fails_on_a_dropped_imaginary_part():
@@ -412,22 +462,6 @@ def test_an_asymmetric_cutoff_keeps_the_complex_path():
 # the assembled sectors: HI on each sector as one real CSR matrix, built once
 
 
-@pytest.mark.parametrize("n_max", [0, 1])
-@pytest.mark.parametrize("kappa", [0.0, 0.05, 0.3])
-def test_assembled_sectors_equal_the_dense_blocks_at_the_smallest_depths(n_max, kappa):
-    # depth 0 has an empty odd sector, depth 1 an even sector of the vacuum alone
-    grid, quad, basis = make_reference(n_max=n_max)
-    ham, dense = HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, n_max)
-    hk = dense.hk(kappa)
-    assert ham.even.matrix is not None and ham.odd.matrix is not None
-    assert ham.odd.dim == (0 if n_max == 0 else basis.num_modes)
-    for sector in (ham.even, ham.odd):
-        block = hk[np.ix_(sector.index, sector.index)]
-        for dtype in (complex, np.float64):
-            got = handle_matrix(sector.hkappa(kappa), dtype)
-            assert np.abs(got - block).max(initial=0.0) <= 1e-14 * max(1.0, np.abs(block).max(initial=0.0))
-
-
 def test_the_sector_matrices_are_the_dense_interaction_blocks(model):
     # real, exactly symmetric, and within the budget: no more entries than one
     # matrix-free sector product makes complex multiply-adds
@@ -460,6 +494,8 @@ def test_the_hbound_rows_by_parity_equal_the_per_vector_products():
             got, want = ham.hi_rows(u), ham.hi(u.astype(complex))
             assert got.dtype == np.float64 and got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            got, want = ham.hkappa_rows(0.05, u), ham.hkappa(0.05)(u.astype(complex))
+            assert got.dtype == np.float64 and np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_the_hbound_of_an_assembled_model_matches_the_per_vector_check(monkeypatch):
@@ -488,6 +524,25 @@ def test_a_wide_model_keeps_the_matrix_free_sectors():
     assert np.abs(ham.even.hi(v) - want).max() <= 1e-14 * np.abs(want).max()
     block = next(verify._interior_blocks(basis, 4, 5, seed=1))
     assert np.array_equal(ham.hi_rows(block), np.stack([ham.hi(v) for v in block]))
+    hk = ham.hkappa(0.05)
+    assert np.array_equal(ham.hkappa_rows(0.05, block[0]), hk(block[0]))
+
+
+def test_a_refused_assembly_holds_about_its_budget():
+    # verify_wide.ini's model at depth 8 (dim 24,310): B^T B alone stores 0.73 of the
+    # budget, so the count of its square runs in row blocks and stops once past the budget,
+    # each entry 8 bytes of value and 4 of column index
+    params = parse_config(ROOT / "phi4bench" / "configs" / "verify_wide.ini")
+    grid, quad, basis = build_model(dataclasses.replace(params, n_max=8))
+    ham = HamiltonianSet(basis, grid, quad)
+    budget = 4 * len(ham.fold.index) * ham.origin_block.nnz
+    tracemalloc.start()
+    try:
+        assert hamiltonian._sector_interactions(ham) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 12 * budget
 
 
 def test_both_sectors_are_assembled_or_neither():
@@ -530,6 +585,7 @@ def test_the_deep_solve_model_is_assembled_within_its_budget():
     even, odd = ham._interactions
     assert (even.nnz, odd.nnz) == (53566, 45795) and max(even.nnz, odd.nnz) <= 0.6 * budget
     assert even is ham.even.matrix and odd is ham.odd.matrix
+    assert "origin_block" not in vars(ham)  # kept until the assembly, which no longer reads it
 
 
 @pytest.mark.parametrize("modes", [20, 21])
@@ -542,7 +598,7 @@ def test_the_keys_of_delta_fit_an_int64_up_to_20_modes(modes):
     ham, dense = HamiltonianSet(basis, grid, quad), DenseModel(grid, quad, 1)
     block = ham.origin_block
     budget = 4 * len(ham.fold.index) * block.nnz
-    assert hamiltonian._weighted_square(ham, block @ block.T.tocsr(), 1, budget) is not None
+    assert hamiltonian._weighted_square(ham, block, block.T.tocsr(), 1, budget) is not None
     assert (ham._interactions is not None) == (modes == 20) and ham.odd.real
     hk = dense.hk(0.05)
     for sector in (ham.even, ham.odd):
